@@ -332,9 +332,11 @@ func writeShardJSON(path string, points []exp.ShardPoint) error {
 	}{
 		Description: "Sharded event engine (mpbench -exp shard): 'fleet8' runs eight " +
 			"contending nodes as one fused fluid network (baseline_ns) vs one " +
-			"network per node on an 8-shard cluster, over a worker ladder — the " +
-			"speedup comes from per-component re-rating scope (O(node) instead of " +
-			"O(fleet) per event) plus epoch parallelism where cores exist. " +
+			"network per node on an 8-shard cluster, over a worker ladder. The " +
+			"fused network re-rates only the component an event touches, so the " +
+			"speedup comes from per-node settlement (the fused network settles " +
+			"every flow of the fleet at every event instant) plus epoch " +
+			"parallelism where cores exist. " +
 			"'single' runs one node on the plain engine vs clusters of 1/2/8 " +
 			"shards, measuring pure epoch-machinery overhead (overhead_pct must " +
 			"stay flat and small). checksum is FNV-64a over every completion " +

@@ -18,12 +18,12 @@ import (
 // fused single-network composition on two scenarios:
 //
 //   - fleet8: eight contending nodes. The fused baseline builds all eight
-//     into ONE fluid network on one simulator, so every flow start/finish
-//     settles and re-rates the whole fleet's flows and links; the sharded
-//     run gives each node its own network on an 8-shard cluster, so a
-//     re-rate touches one node's component only. The speedup is dominated
-//     by that asymptotic difference (O(node) vs O(fleet) per event), which
-//     is why it holds even on a single-core host; extra workers add
+//     into ONE fluid network on one simulator; a flow start/finish there
+//     re-rates only its own component but settles the whole fleet's flows
+//     and links. The sharded run gives each node its own network on an
+//     8-shard cluster, so an event settles one node only. That asymptotic
+//     difference (O(node) vs O(fleet) settlement per event) is why the
+//     speedup holds even on a single-core host; extra workers add
 //     wall-clock parallelism on top where cores exist.
 //   - single: one node. The same workload runs on the plain engine and on
 //     clusters of 1, 2, and 8 shards (the node always on shard 0, the

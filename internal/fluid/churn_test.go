@@ -16,7 +16,13 @@ import (
 // reuse — it is the specification the optimized Network must match
 // bit-for-bit.
 
-// refNet mirrors Network semantics on plain data.
+// refNet mirrors Network semantics on plain data. It fills the whole
+// network at every change, where Network fills only the touched
+// component, so the two agree bit for bit except in one case: disjoint
+// components whose bottleneck shares lie within the 1e-9 relative marking
+// tolerance without being equal, which refNet freezes together at the
+// smaller share (TestNearTieComponentsKeepOwnShares). Randomized workloads
+// never land in that band.
 type refNet struct {
 	caps      []float64 // link capacities
 	residual  []float64
@@ -407,5 +413,28 @@ func TestReallocateKeepsUnchangedRates(t *testing.T) {
 	}
 	if got := f.Rate(); got != 0 {
 		t.Fatalf("rate after completion = %v", got)
+	}
+}
+
+// TestNearTieComponentsKeepOwnShares pins the one case where re-rating
+// only the touched component differs from a network-wide fill: two
+// disjoint one-flow links whose capacities differ by less than the 1e-9
+// marking tolerance. A network-wide fill marked both links in one round
+// and froze both flows at the smaller capacity; each flow now gets its
+// own link's capacity exactly.
+func TestNearTieComponentsKeepOwnShares(t *testing.T) {
+	s := sim.New()
+	n := NewNetwork(s)
+	const c = 100.0
+	a := n.AddLink("a", c)
+	b := n.AddLink("b", c*(1+1e-10))
+	if a.Capacity() == b.Capacity() {
+		t.Fatal("capacities round to the same float")
+	}
+	fa := n.StartFlow(1e6, a)
+	fb := n.StartFlow(1e6, b)
+	if fa.Rate() != a.Capacity() || fb.Rate() != b.Capacity() {
+		t.Fatalf("rates %v, %v; want each link's capacity %v, %v",
+			fa.Rate(), fb.Rate(), a.Capacity(), b.Capacity())
 	}
 }

@@ -6,15 +6,17 @@ import "fmt"
 //
 // Links in this model are standalone resources — they couple only when a
 // route traverses several of them, making their rate allocations
-// interdependent (progressive filling is a global fixpoint over every
-// link any shared flow touches). Two links therefore belong to the same
-// component exactly when a declared route connects them, directly or
-// transitively. Components are the unit of simulation for the sharded
-// engine: each connected component gets its own Network (its own
-// progressive-filling scope, settled and re-rated independently), and
-// only components may be placed on different cluster shards — a route
-// can never span two Networks, so no rate computation ever crosses a
-// shard boundary.
+// interdependent (progressive filling is a fixpoint over every link a
+// shared flow touches). Two links therefore belong to the same component
+// exactly when a declared route connects them, directly or transitively.
+// Within one Network, re-rating is already scoped to the dynamic
+// component of the flows active at the time; settlement is not, so a
+// Network's completion times depend on every change instant in it.
+// Components are the unit of simulation for the sharded engine: each
+// connected component gets its own Network (settled and re-rated
+// independently), and only components may be placed on different cluster
+// shards — a route can never span two Networks, so no rate computation
+// ever crosses a shard boundary.
 
 // SetLabel attaches a diagnostic label to the network (e.g. the node or
 // shard it models in a fleet build). The label appears in error messages

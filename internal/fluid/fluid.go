@@ -5,28 +5,46 @@
 // At any instant every active flow receives a rate computed by progressive
 // filling (max-min fairness): link capacity is divided evenly among the
 // flows crossing it, flows bottlenecked elsewhere release their unused
-// share, and the process repeats until all flows are frozen. Whenever the
-// flow set changes, remaining bytes are settled at the old rates and all
-// rates and completion times are recomputed.
+// share, and the process repeats until all flows are frozen. Whenever a
+// flow starts, finishes or fails, or a link's capacity changes, remaining
+// bytes are settled at the old rates and the affected rates and completion
+// times are recomputed.
 //
 // This is the standard fluid approximation used by network and interconnect
 // simulators: it captures bandwidth contention (the phenomenon the paper's
 // evaluation highlights for host-staged bidirectional transfers) without
 // per-packet simulation.
 //
+// Re-rating is scoped to the dynamic component a change touches: the links
+// and flows reachable from the changed flow's route (or the changed link)
+// through currently active flows. Flows in different components share no
+// link, so filling the touched component alone yields the rates a
+// network-wide fill would, bit for bit, and every other flow keeps its rate
+// and its pending completion event. The one exception is degenerate: when
+// two disjoint components' bottleneck shares lie within the 1e-9 relative
+// marking tolerance without being equal, a network-wide fill froze both at
+// the smaller share, whereas each component now gets its own. Settlement
+// (remaining -= rate·dt) stays network-wide: it runs for every flow at every
+// change instant, and those per-instant splits fix the floating-point bits
+// of every completion time, so settling lazily per component would move
+// them.
+//
 // The re-rating path is the simulator's hottest loop, so it is written to
 // be allocation-free in steady state: active-flow sets are slices with
-// order-preserving (network) and swap (link) removal, progressive filling
-// works on scratch fields embedded in Link and Flow rather than per-call
-// maps, flows freeze in monotonic start-sequence order (deterministic
-// without sorting), and a flow's completion event is only canceled and
-// rescheduled when its rate actually changed.
+// order-preserving (network) and swap (link) removal, component collection
+// and progressive filling work on scratch fields embedded in Link and Flow
+// rather than per-call maps, a component's flows are taken in monotonic
+// start-sequence order (deterministic even for same-instant starts), and a
+// flow's completion event is only canceled and rescheduled when its rate
+// actually changed.
 package fluid
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -52,7 +70,8 @@ type Link struct {
 	bytesCarried float64
 	busy         float64 // integrated seconds with >=1 active flow
 
-	// progressive-filling scratch, valid only inside maxMinRates.
+	// re-rating scratch, valid only inside a reach/rerate sequence.
+	visit     uint64  // equals net.stamp while in the collected component
 	residual  float64 // capacity not yet claimed by frozen flows
 	unfrozen  int     // active flows not yet frozen
 	markRound int     // round at which the link was last a bottleneck
@@ -94,7 +113,8 @@ func (l *Link) SetCapacityScale(factor float64) {
 	n.settle()
 	l.scale = factor
 	l.capacity = l.base * factor
-	n.reallocate()
+	n.reach(l)
+	n.rerate()
 }
 
 // FailLink takes the link down: every active flow crossing it fails (its
@@ -115,18 +135,25 @@ func (l *Link) FailLink() {
 	for _, f := range victims {
 		n.failFlow(f, err)
 	}
-	n.reallocate()
+	// Collect only once every victim is gone, so none is re-rated.
+	for _, f := range victims {
+		for _, m := range f.route {
+			n.reach(m)
+		}
+	}
+	n.rerate()
 }
 
 // Restore brings a failed link back up at its current capacity scale.
 // Flows failed by FailLink stay failed; new flows may use the link again.
+// A down link carries no flows, so no rate changes; the settlement still
+// marks the instant, like every other change.
 func (l *Link) Restore() {
 	if !l.down {
 		return
 	}
 	l.net.settle()
 	l.down = false
-	l.net.reallocate()
 }
 
 // ActiveFlows returns the number of flows currently crossing the link.
@@ -158,10 +185,10 @@ type Flow struct {
 	finished   bool
 	started    sim.Time
 	seq        uint64 // monotonic start order; deterministic tie-breaker
-	flowIdx    int    // position in net.flows
 	net        *Network
 
-	// progressive-filling scratch, valid only inside a reallocate call.
+	// re-rating scratch, valid only inside a reach/rerate sequence.
+	visit   uint64 // equals net.stamp while in the collected component
 	frozen  bool
 	newRate float64
 }
@@ -195,13 +222,16 @@ type Network struct {
 	settledAt sim.Time
 	label     string // diagnostic label (shard/node name in fleet builds)
 
-	// reusable scratch for maxMinRates.
-	activeLinks []*Link
+	// The dynamic component collected for the next rerate: its links and
+	// flows carry visit == stamp. rerate empties both and bumps stamp.
+	stamp     uint64
+	compLinks []*Link
+	compFlows []*Flow
 }
 
 // NewNetwork creates an empty flow network on the given simulator.
 func NewNetwork(s *sim.Simulator) *Network {
-	return &Network{sim: s, settledAt: s.Now()}
+	return &Network{sim: s, settledAt: s.Now(), stamp: 1}
 }
 
 // Sim returns the simulator the network runs on.
@@ -276,7 +306,6 @@ func (n *Network) StartFlow(bytes float64, route ...*Link) *Flow {
 	f.finishFn = func() { n.finish(f) }
 	f.seq = n.flowSeq
 	n.flowSeq++
-	f.flowIdx = len(n.flows)
 	n.flows = append(n.flows, f)
 	if len(route) <= len(f.idxBuf) {
 		f.routeIdx = f.idxBuf[:0]
@@ -287,7 +316,8 @@ func (n *Network) StartFlow(bytes float64, route ...*Link) *Flow {
 		f.routeIdx = append(f.routeIdx, len(l.active))
 		l.active = append(l.active, f)
 	}
-	n.reallocate()
+	n.reach(route[0]) // f joins every link of its route to one component
+	n.rerate()
 	return f
 }
 
@@ -319,57 +349,97 @@ func (n *Network) settle() {
 	n.settledAt = now
 }
 
-// reallocate computes max-min fair rates for all active flows and
-// reschedules the completion events of flows whose rate changed. Flows
-// whose rate is unchanged keep their pending event: it already points at
-// the correct absolute completion time, so churning it would only waste
-// heap work.
-func (n *Network) reallocate() {
-	if len(n.flows) == 0 {
+// reach adds l, and every link and flow reachable from it through active
+// flows, to the component collected for the next rerate. Links already
+// collected are skipped, so several calls collect the union of their
+// components.
+func (n *Network) reach(l *Link) {
+	if l.visit == n.stamp {
 		return
 	}
-	n.maxMinRates()
-	for _, f := range n.flows {
-		if f.newRate == f.rate {
-			continue
+	l.visit = n.stamp
+	next := len(n.compLinks)
+	n.compLinks = append(n.compLinks, l)
+	for ; next < len(n.compLinks); next++ {
+		for _, f := range n.compLinks[next].active {
+			if f.visit == n.stamp {
+				continue
+			}
+			f.visit = n.stamp
+			n.compFlows = append(n.compFlows, f)
+			for _, m := range f.route {
+				if m.visit != n.stamp {
+					m.visit = n.stamp
+					n.compLinks = append(n.compLinks, m)
+				}
+			}
 		}
-		f.completion.Cancel()
-		f.rate = f.newRate
-		if f.rate <= 0 {
-			// No capacity at all (cannot happen with positive link
-			// capacities, but guard against division by zero).
-			continue
-		}
-		f.completion = n.sim.Schedule(f.remaining/f.rate, f.finishFn)
 	}
 }
 
-// maxMinRates runs progressive filling over the current flow set, leaving
-// each flow's allocation in its newRate scratch field. It allocates nothing:
-// link residual capacity and unfrozen counts live on the links, bottleneck
-// membership is a round stamp, and flows freeze in start-sequence order
-// (n.flows is kept sorted by seq), which fixes the floating-point
-// accumulation order deterministically — including for flows started at the
-// same virtual instant, where the old started-time sort fell back to map
-// iteration order.
-func (n *Network) maxMinRates() {
-	n.activeLinks = n.activeLinks[:0]
-	for _, l := range n.links {
-		if len(l.active) > 0 {
-			l.residual = l.capacity
-			l.unfrozen = len(l.active)
-			l.markRound = 0
-			n.activeLinks = append(n.activeLinks, l)
+// rerate computes max-min fair rates for the flows of the collected
+// component and reschedules, in seq order, the completion events of those
+// whose rate changed. Flows whose rate is unchanged keep their pending
+// event: it already points at the correct absolute completion time, so
+// churning it would only waste heap work. Flows outside the component are
+// not looked at.
+func (n *Network) rerate() {
+	if len(n.compFlows) > 0 {
+		if k := len(n.compFlows); k*k > len(n.flows) {
+			// A large component is cheaper to pick out of the
+			// seq-ordered n.flows than to sort.
+			n.compFlows = n.compFlows[:0]
+			for _, f := range n.flows {
+				if f.visit == n.stamp {
+					n.compFlows = append(n.compFlows, f)
+				}
+			}
+		} else {
+			slices.SortFunc(n.compFlows, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
+		}
+		n.maxMinRates()
+		for _, f := range n.compFlows {
+			if f.newRate == f.rate {
+				continue
+			}
+			f.completion.Cancel()
+			f.rate = f.newRate
+			if f.rate <= 0 {
+				// No capacity at all (cannot happen with positive link
+				// capacities, but guard against division by zero).
+				continue
+			}
+			f.completion = n.sim.Schedule(f.remaining/f.rate, f.finishFn)
 		}
 	}
-	for _, f := range n.flows {
+	clear(n.compFlows) // drop references to flows that may finish
+	n.compLinks = n.compLinks[:0]
+	n.compFlows = n.compFlows[:0]
+	n.stamp++
+}
+
+// maxMinRates runs progressive filling over the collected component,
+// leaving each of its flows' allocation in the newRate scratch field. It
+// allocates nothing: link residual capacity and unfrozen counts live on the
+// links, and bottleneck membership is a round stamp. Flows freeze in seq
+// order, the order rerate reschedules them in. Links are scanned in
+// collection order, which cannot change a bit: the scan takes a minimum
+// and marks links one by one, and within a round every frozen flow takes
+// the same share off each link it crosses.
+func (n *Network) maxMinRates() {
+	for _, l := range n.compLinks {
+		l.residual = l.capacity
+		l.unfrozen = len(l.active)
+		l.markRound = 0
+	}
+	for _, f := range n.compFlows {
 		f.frozen = false
 	}
-	remaining := len(n.flows)
+	remaining := len(n.compFlows)
 	for round := 1; remaining > 0; round++ {
 		// Find the bottleneck share: min over links of residual/unfrozen.
 		share := math.Inf(1)
-		for _, l := range n.activeLinks {
+		for _, l := range n.compLinks {
 			if l.unfrozen == 0 {
 				continue
 			}
@@ -384,7 +454,7 @@ func (n *Network) maxMinRates() {
 		// tolerance to absorb float error).
 		tol := share * 1e-9
 		marked := 0
-		for _, l := range n.activeLinks {
+		for _, l := range n.compLinks {
 			if l.unfrozen == 0 {
 				continue
 			}
@@ -398,7 +468,7 @@ func (n *Network) maxMinRates() {
 		}
 		// Freeze unfrozen flows crossing a marked link, in seq order.
 		progressed := false
-		for _, f := range n.flows {
+		for _, f := range n.compFlows {
 			if f.frozen {
 				continue
 			}
@@ -429,7 +499,7 @@ func (n *Network) maxMinRates() {
 		}
 	}
 	// Any flow not frozen (degenerate corner) gets no allocation.
-	for _, f := range n.flows {
+	for _, f := range n.compFlows {
 		if !f.frozen {
 			f.newRate = 0
 		}
@@ -437,16 +507,12 @@ func (n *Network) maxMinRates() {
 }
 
 // removeFlow detaches a finished flow from the network and its links.
-// Removal from n.flows preserves order (it stays sorted by seq, which
-// maxMinRates relies on); removal from a link's active slice swaps with the
+// Removal from n.flows preserves its seq order (the flow is found by
+// binary search on seq); removal from a link's active slice swaps with the
 // last element and patches the moved flow's routeIdx entry.
 func (n *Network) removeFlow(f *Flow) {
-	copy(n.flows[f.flowIdx:], n.flows[f.flowIdx+1:])
-	n.flows[len(n.flows)-1] = nil
-	n.flows = n.flows[:len(n.flows)-1]
-	for i := f.flowIdx; i < len(n.flows); i++ {
-		n.flows[i].flowIdx = i
-	}
+	i, _ := slices.BinarySearchFunc(n.flows, f.seq, func(g *Flow, seq uint64) int { return cmp.Compare(g.seq, seq) })
+	n.flows = slices.Delete(n.flows, i, i+1)
 	for ri, l := range f.route {
 		idx := f.routeIdx[ri]
 		last := len(l.active) - 1
@@ -468,8 +534,8 @@ func (n *Network) removeFlow(f *Flow) {
 // failFlow aborts an in-flight flow: it is removed from the network and its
 // links, its pending completion event is canceled, and its done signal
 // fails with err. The caller is responsible for settling beforehand and
-// re-rating survivors afterwards (FailLink batches both around a group of
-// victims).
+// re-rating the survivors of the victim's component afterwards (FailLink
+// batches both around a group of victims).
 func (n *Network) failFlow(f *Flow, err error) {
 	if f.finished {
 		return
@@ -482,7 +548,8 @@ func (n *Network) failFlow(f *Flow, err error) {
 }
 
 // finish completes a flow: verifies its bytes drained, removes it from the
-// network, fires its done signal, and re-rates the survivors.
+// network, fires its done signal, and re-rates the survivors of its
+// component.
 func (n *Network) finish(f *Flow) {
 	if f.finished {
 		return
@@ -506,5 +573,8 @@ func (n *Network) finish(f *Flow) {
 	f.completion.Cancel() // no-op for the event that fired; drops a stale one
 	n.removeFlow(f)
 	f.done.Fire()
-	n.reallocate()
+	for _, l := range f.route {
+		n.reach(l)
+	}
+	n.rerate()
 }

@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -189,6 +190,73 @@ func TestShardedChurnMatchesReference(t *testing.T) {
 	for i := range want {
 		if got.doneAt[0][i] != want[i] {
 			t.Fatalf("flow %d completion = %v, reference = %v", i, got.doneAt[0][i], want[i])
+		}
+	}
+}
+
+// TestFusedComponentsMatchReference plays the eight churn components in
+// one Network on one Simulator, so each start and finish re-rates only
+// its own component, and requires completion times bit-equal to the
+// reference's network-wide filling over the union of their links.
+func TestFusedComponentsMatchReference(t *testing.T) {
+	const components = 8
+	flows := 80
+	if testing.Short() {
+		flows = 30
+	}
+	for _, baseSeed := range []int64{1, 42, 1234} {
+		works := make([]componentWorkload, components)
+		var caps []float64
+		var starts []churnStart
+		for c := range works {
+			w := genComponentWorkload(baseSeed+int64(c)*1000, flows)
+			works[c] = w
+			base := len(caps)
+			caps = append(caps, w.caps...)
+			for _, st := range w.starts {
+				route := make([]int, len(st.route))
+				for j, li := range st.route {
+					route[j] = base + li
+				}
+				starts = append(starts, churnStart{at: st.at, bytes: st.bytes, route: route})
+			}
+		}
+		// The reference takes starts in event order: by time, and at one
+		// instant in the order playComponent schedules them (component by
+		// component), which a stable sort of the concatenation keeps.
+		order := make([]int, len(starts))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return starts[order[a]].at < starts[order[b]].at })
+		sorted := make([]churnStart, len(starts))
+		for i, o := range order {
+			sorted[i] = starts[o]
+		}
+		ref := runReference(caps, sorted)
+		want := make([]float64, len(starts))
+		for i, o := range order {
+			want[o] = ref[i]
+		}
+
+		s := sim.New()
+		n := NewNetwork(s)
+		done := make([][]float64, components)
+		for c, w := range works {
+			done[c] = playComponent(s, n, w)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for c := range done {
+			for j, got := range done[c] {
+				if got != want[i] {
+					t.Fatalf("seed %d: component %d flow %d completion = %v, reference = %v (diff %g)",
+						baseSeed, c, j, got, want[i], got-want[i])
+				}
+				i++
+			}
 		}
 	}
 }

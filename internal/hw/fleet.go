@@ -10,8 +10,8 @@ import (
 // Fleet is a set of nodes realized across the shards of a sim.Cluster.
 // Each node is its own fluid.Network — intra-node links form one
 // connected component, so per-node networks give each shard an
-// independent progressive-filling scope (the whole point of sharding:
-// re-rating after an event touches one node's links, not the fleet's).
+// independent scope for settlement and progressive filling (an event
+// settles one node's flows, not the fleet's).
 // Nodes never share fluid links; inter-node interaction goes through
 // sim.(*Simulator).Post on the owning shards.
 type Fleet struct {

@@ -6,9 +6,13 @@ package sim
 // synchronization primitive connecting simulated activities (copies,
 // messages) to the processes that wait for them.
 type Signal struct {
-	sim      *Simulator
-	fired    bool
-	firedAt  Time
+	sim     *Simulator
+	fired   bool
+	firedAt Time
+	// first is the first registered waiter, held inline so the common
+	// one-waiter signal registers without allocating; waiters holds the
+	// rest, in registration order.
+	first    func()
 	waiters  []func()
 	payload  any
 	failedAt error
@@ -44,10 +48,12 @@ func (g *Signal) FireValue(v any) {
 	g.fired = true
 	g.firedAt = g.sim.Now()
 	g.payload = v
-	waiters := g.waiters
-	g.waiters = nil
-	for _, w := range waiters {
-		w := w
+	first, rest := g.first, g.waiters
+	g.first, g.waiters = nil, nil
+	if first != nil {
+		g.sim.Schedule(0, first)
+	}
+	for _, w := range rest {
 		g.sim.Schedule(0, w)
 	}
 }
@@ -62,14 +68,18 @@ func (g *Signal) Fail(err error) {
 	g.FireValue(nil)
 }
 
-// OnFire registers fn to run when the signal fires. If the signal already
-// fired, fn is scheduled to run at the current instant.
+// OnFire registers fn to run when the signal fires; waiters run in
+// registration order. If the signal already fired, fn is scheduled to run
+// at the current instant.
 func (g *Signal) OnFire(fn func()) {
-	if g.fired {
+	switch {
+	case g.fired:
 		g.sim.Schedule(0, fn)
-		return
+	case g.first == nil:
+		g.first = fn
+	default:
+		g.waiters = append(g.waiters, fn)
 	}
-	g.waiters = append(g.waiters, fn)
 }
 
 // AllOf returns a signal that fires once every input signal has fired.

@@ -21,7 +21,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -44,7 +43,6 @@ type event struct {
 	sim *Simulator
 	// canceled events stay in the heap but are skipped when popped.
 	canceled bool
-	index    int
 	gen      uint64
 }
 
@@ -89,36 +87,78 @@ func (h EventHandle) Cancel() {
 // compaction kicks in; below it the wasted slots are too small to matter.
 const compactMinQueue = 64
 
+// eventQueue is a binary min-heap of events ordered by (at, seq). The
+// order is strict and total — seq is unique per simulator — so the pop
+// sequence is the same for any correct heap, and a typed heap avoids an
+// interface call per comparison.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a runs before b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
+// push adds ev and restores the heap invariant.
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	h := *q
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = ev
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	last := len(h) - 1
+	ev := h[0]
+	h[0] = h[last]
+	h[last] = nil
+	h = h[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	*q = h
 	return ev
+}
+
+// down sifts the event at i toward the leaves until neither child runs
+// before it.
+func (q eventQueue) down(i int) {
+	ev := q[i]
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = ev
+}
+
+// heapify establishes the heap invariant over an arbitrary ordering.
+func (q eventQueue) heapify() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }
 
 // Simulator owns the virtual clock and the pending event queue.
@@ -181,12 +221,12 @@ func (s *Simulator) Shard() int { return s.shard }
 // ok=false when none remain. Canceled events found at the head of the
 // queue are retired on the way (they would be skipped by Run anyway).
 func (s *Simulator) NextEventTime() (Time, bool) {
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		ev := s.queue[0]
 		if !ev.canceled {
 			return ev.at, true
 		}
-		heap.Pop(&s.queue)
+		s.queue.pop()
 		s.canceled--
 		s.recycle(ev)
 	}
@@ -229,10 +269,7 @@ func (s *Simulator) compact() {
 	}
 	s.queue = live
 	s.canceled = 0
-	for i, ev := range s.queue {
-		ev.index = i
-	}
-	heap.Init(&s.queue)
+	s.queue.heapify()
 }
 
 // Schedule runs fn after delay units of virtual time. A negative delay is
@@ -255,7 +292,7 @@ func (s *Simulator) At(t Time, fn func()) EventHandle {
 	ev.seq = s.seq
 	ev.fn = fn
 	s.seq++
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return EventHandle{ev: ev, gen: ev.gen}
 }
 
@@ -313,7 +350,7 @@ func (s *Simulator) runLimit(limit Time, inclusive bool) error {
 		}
 		if ev.at > limit || (!inclusive && ev.at == limit) {
 			// Put it back for a later run.
-			heap.Push(&s.queue, ev)
+			s.queue.push(ev)
 			if s.now < limit {
 				s.now = limit
 			}
@@ -334,8 +371,8 @@ func (s *Simulator) runLimit(limit Time, inclusive bool) error {
 // popRunnable removes and returns the earliest non-canceled event,
 // or nil when none remain.
 func (s *Simulator) popRunnable() *event {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
+	for len(s.queue) > 0 {
+		ev := s.queue.pop()
 		if !ev.canceled {
 			return ev
 		}

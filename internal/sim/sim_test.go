@@ -219,6 +219,55 @@ func TestSignalFireIdempotent(t *testing.T) {
 	}
 }
 
+// TestSignalWaitersRunInRegistrationOrder checks that waiters run in the
+// order they registered, with one, two or many of them (the first is held
+// inline, the rest in a slice), and that a waiter registered after Fire
+// runs after the ones Fire scheduled.
+func TestSignalWaitersRunInRegistrationOrder(t *testing.T) {
+	for _, n := range []int{1, 2, 7} {
+		s := New()
+		sig := s.NewSignal()
+		var got []int
+		for i := 0; i < n; i++ {
+			sig.OnFire(func() { got = append(got, i) })
+		}
+		s.Schedule(1, func() {
+			sig.Fire()
+			sig.OnFire(func() { got = append(got, n) })
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n+1 {
+			t.Fatalf("%d waiters: %d ran: %v", n, len(got), got)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("%d waiters: ran in order %v", n, got)
+			}
+		}
+	}
+}
+
+// TestOnFireFirstWaiterAllocFree pins that registering a signal's only
+// waiter does not allocate.
+func TestOnFireFirstWaiterAllocFree(t *testing.T) {
+	s := New()
+	sigs := make([]*Signal, 101)
+	for i := range sigs {
+		sigs[i] = s.NewSignal()
+	}
+	fn := func() {}
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sigs[next].OnFire(fn)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("OnFire of a first waiter allocated %v times per call", allocs)
+	}
+}
+
 func TestAllOf(t *testing.T) {
 	s := New()
 	a, b, c := s.NewSignal(), s.NewSignal(), s.NewSignal()

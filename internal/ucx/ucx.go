@@ -17,6 +17,7 @@
 package ucx
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -368,8 +369,13 @@ type Context struct {
 	modelMu sync.Mutex
 	// bidirModels caches per-pair contention-aware planners (BidirAware).
 	bidirModels map[[2]int]*core.Model
-	// patternModels caches planners per communication-pattern hint.
+	// patternModels caches planners per filtered communication-pattern
+	// hint (see patternModel), at most maxPatternModels of them;
+	// patternOrder holds their keys in insertion order and, once full, is
+	// a ring whose slot patternNext is the next to evict.
 	patternModels map[string]*core.Model
+	patternOrder  []string
+	patternNext   int
 
 	// inflightMu guards inflight, which counts active rendezvous
 	// transfers per (src, dst) pair, feeding LoadAware planning.
@@ -770,20 +776,44 @@ func (c *Context) inflightPairs(src, dst int) [][2]int {
 	return out
 }
 
+// maxPatternModels bounds the pattern planners a context keeps. Each holds
+// its own plan cache, and hints arrive from the network (serve/v1
+// PlanRequest.Concurrent) as well as from LoadAware bookkeeping, so an
+// unbounded map grows with every distinct hint. Past the bound the oldest
+// planner is evicted; a rebuilt one plans exactly like the original did,
+// unless the shared model it derives its loads from was refit meanwhile.
+const maxPatternModels = 256
+
+// patternKey appends the cache key of a pattern hint to buf: the hint's
+// pairs other than the planned (src, dst) one — the only pairs the planner
+// reads — in hint order, each index varint-encoded so the concatenation is
+// unambiguous.
+func patternKey(buf []byte, src, dst int, concurrent [][2]int) []byte {
+	for _, pair := range concurrent {
+		if pair[0] == src && pair[1] == dst {
+			continue
+		}
+		buf = binary.AppendVarint(buf, int64(pair[0]))
+		buf = binary.AppendVarint(buf, int64(pair[1]))
+	}
+	return buf
+}
+
 // patternModel returns (building and caching on demand) a planner that
 // derates links used by a known set of concurrent transfers. Each
 // concurrent pair contributes the legs of its own candidate path set —
 // multi-path peers spread over staged paths too, so their staged legs are
-// part of the load.
+// part of the load. Pairs whose filtered hints agree share one planner.
 func (c *Context) patternModel(src, dst int, concurrent [][2]int) (*core.Model, error) {
-	key := fmt.Sprintf("%d:%d|%v", src, dst, concurrent)
+	var keyBuf [32]byte
+	key := patternKey(keyBuf[:0], src, dst, concurrent)
 	// Holding modelMu across the build serializes concurrent misses for
 	// the same pattern: one goroutine builds, the rest find the cached
 	// planner. Builds are rare (one per distinct pattern) and cheap next
 	// to the searches they replace, so a single lock is enough.
 	c.modelMu.Lock()
 	defer c.modelMu.Unlock()
-	if m, ok := c.patternModels[key]; ok {
+	if m, ok := c.patternModels[string(key)]; ok {
 		return m, nil
 	}
 	spec := c.rt.Node().Spec
@@ -820,7 +850,15 @@ func (c *Context) patternModel(src, dst int, concurrent [][2]int) (*core.Model, 
 	if c.tracer != nil {
 		m.AttachTracer(c.tracer)
 	}
-	c.patternModels[key] = m
+	k := string(key)
+	if len(c.patternOrder) < maxPatternModels {
+		c.patternOrder = append(c.patternOrder, k)
+	} else {
+		delete(c.patternModels, c.patternOrder[c.patternNext])
+		c.patternOrder[c.patternNext] = k
+		c.patternNext = (c.patternNext + 1) % maxPatternModels
+	}
+	c.patternModels[k] = m
 	return m, nil
 }
 

@@ -27,6 +27,14 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The benchmark is its own module, so ./... above does not reach it. Its
+# tests pin the transfers golden window (checksum, link bytes, retries,
+# failovers, refits) and the figs tables byte for byte: a change that
+# moves one completion-time bit fails here rather than only in the
+# benchmark.
+echo "==> (cd mpperf && go test ./...)"
+(cd mpperf && go test ./...)
+
 # The planner is the concurrency-critical surface: rerun its stress gates
 # with more iterations than the default suite so interleavings that only
 # show up under repetition get a chance to fire.
