@@ -39,10 +39,13 @@ lint-wire:
 verify:
 	sh scripts/verify.sh
 
-# bench runs the perf-trajectory benchmarks recorded in BENCH_fluid.json.
+# bench runs the perf-trajectory benchmarks recorded in BENCH_fluid.json,
+# plus the allocation profile of one eager staged transfer and one graph
+# replay (the transfer hot path's records, flows and events).
 bench:
 	$(GO) test -bench 'BenchmarkFluidChurn|BenchmarkFlowChurn|BenchmarkFluidReallocateOnly' -benchmem -run xxx ./internal/fluid/
 	$(GO) test -bench 'BenchmarkScheduleRun|BenchmarkCancelRescheduleChurn' -benchmem -run xxx ./internal/sim/
+	$(GO) test -bench 'BenchmarkEagerStagedTransfer|BenchmarkGraphReplay' -benchmem -run xxx ./internal/pipeline/
 	$(GO) test -bench 'BenchmarkParallelSweep' -run xxx .
 
 # bench-planner measures the planning hot path (sharded plan cache) and

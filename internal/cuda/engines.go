@@ -1,5 +1,7 @@
 package cuda
 
+import "repro/internal/sim"
+
 // Copy-engine modeling. Real GPUs execute async copies on a small number
 // of DMA (copy) engines — V100/A100-class parts expose a handful, and two
 // is the practical limit for simultaneous peer copies in one direction.
@@ -17,10 +19,17 @@ func (rt *Runtime) SetCopyEngines(n int) {
 	}
 }
 
-// engineSem is a FIFO counting semaphore over simulation callbacks.
+// engineSem is a FIFO counting semaphore over simulation handlers. A nil
+// *engineSem is an uncapped device.
 type engineSem struct {
 	tokens int
-	queue  []func()
+	queue  []engineWaiter
+}
+
+// engineWaiter is a copy waiting for an engine.
+type engineWaiter struct {
+	h   sim.Handler
+	arg int
 }
 
 func (d *Device) setEngines(n int) {
@@ -31,32 +40,36 @@ func (d *Device) setEngines(n int) {
 	d.engines = &engineSem{tokens: n}
 }
 
-// acquireEngine invokes run once an engine is free (immediately when
-// uncapped). The returned release function must be called exactly once
-// when the copy completes.
-func (d *Device) acquireEngine(run func(release func())) {
-	sem := d.engines
+// acquire runs h.Handle(arg) once an engine is free: at once when
+// uncapped or a token is free, otherwise at the release that hands one
+// over. The holder must call release exactly once when its copy
+// completes.
+func (sem *engineSem) acquire(h sim.Handler, arg int) {
 	if sem == nil {
-		run(func() {})
+		h.Handle(arg)
 		return
 	}
-	release := func() {
-		if len(sem.queue) > 0 {
-			next := sem.queue[0]
-			sem.queue = sem.queue[1:]
-			// Hand the token directly to the next waiter at this instant.
-			d.rt.sim.Schedule(0, next)
-			return
-		}
-		sem.tokens++
-	}
-	start := func() { run(release) }
 	if sem.tokens > 0 {
 		sem.tokens--
-		start()
+		h.Handle(arg)
 		return
 	}
-	sem.queue = append(sem.queue, start)
+	sem.queue = append(sem.queue, engineWaiter{h, arg})
+}
+
+// release returns an engine, handing it directly to the next waiter at
+// this instant.
+func (sem *engineSem) release(s *sim.Simulator) {
+	if sem == nil {
+		return
+	}
+	if len(sem.queue) > 0 {
+		next := sem.queue[0]
+		sem.queue = sem.queue[1:]
+		s.ScheduleHandler(0, next.h, next.arg)
+		return
+	}
+	sem.tokens++
 }
 
 // EngineQueueDepth reports copies waiting for an engine (diagnostics).

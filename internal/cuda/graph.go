@@ -33,13 +33,13 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/hw"
+	"repro/internal/fluid"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // graphNodeKind classifies graph nodes.
-type graphNodeKind int
+type graphNodeKind uint8
 
 const (
 	// nodeCopy transfers bytes over a fixed route, holding a copy engine.
@@ -52,27 +52,43 @@ const (
 
 // graphNode is one captured operation. Nodes are immutable after End;
 // dependency IDs always reference earlier nodes, so the captured topology
-// is a DAG by construction.
+// is a DAG by construction. Compiled graphs stay cached for the life of a
+// context, so a node is kept small: its route is the link slice and
+// latency, and its dependencies live in the graph's flat deps table.
 type graphNode struct {
 	kind  graphNodeKind
-	route hw.Route // nodeCopy
-	dev   *Device  // nodeCopy: engine-owning device
-	bytes float64  // nodeCopy: default byte count (patchable per exec)
-	dur   float64  // nodeDelay
-	group int      // caller-assigned completion group, -1 if none
-	deps  []int    // sorted ascending; all < this node's ID
+	group int32 // caller-assigned completion group, -1 if none
+	// The node's dependencies are deps[depLo:depHi] of its graph, sorted
+	// ascending, all < this node's ID.
+	depLo, depHi int32
+	links        []*fluid.Link // nodeCopy: route
+	lat          float64       // nodeCopy: route latency; nodeDelay: duration
+	dev          *Device       // nodeCopy: engine-owning device
+	bytes        float64       // nodeCopy: default byte count (patchable per exec)
 }
 
 // Graph is a transfer DAG under construction (capturing) or finalized
 // (ended). A finalized graph is immutable and can be instantiated any
 // number of times.
 type Graph struct {
-	rt       *Runtime
-	nodes    []graphNode
+	rt    *Runtime
+	nodes []graphNode
+	deps  []int32 // every node's dependencies, node after node
+	// children lists, for each node, the nodes depending on it, in
+	// ascending ID (a node listed twice depends on it twice):
+	// children[childOff[i]:childOff[i+1]] for node i. Built by End.
+	childOff []int32
+	children []int32
 	group    int // group tag applied to newly captured nodes
 	groups   int // number of distinct groups (max tag + 1)
 	ended    bool
 	captured []*Stream // streams currently capturing into this graph
+}
+
+// nodeDeps returns node id's dependencies.
+func (g *Graph) nodeDeps(id int) []int32 {
+	n := &g.nodes[id]
+	return g.deps[n.depLo:n.depHi]
 }
 
 // NewGraph starts an empty graph in capturing state.
@@ -107,7 +123,7 @@ func (g *Graph) addNode(n graphNode) int {
 	if g.ended {
 		panic("cuda: operation captured into an ended graph")
 	}
-	n.group = g.group
+	n.group = int32(g.group)
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, n)
 	return id
@@ -139,6 +155,21 @@ func (g *Graph) End() {
 		st.graph = nil
 	}
 	g.captured = nil
+	g.childOff = make([]int32, len(g.nodes)+1)
+	for _, d := range g.deps {
+		g.childOff[d+1]++
+	}
+	for i := 1; i < len(g.childOff); i++ {
+		g.childOff[i] += g.childOff[i-1]
+	}
+	g.children = make([]int32, len(g.deps))
+	next := append([]int32(nil), g.childOff[:len(g.nodes)]...)
+	for i := range g.nodes {
+		for _, d := range g.nodeDeps(i) {
+			g.children[next[d]] = int32(i)
+			next[d]++
+		}
+	}
 }
 
 // execParams is one immutable parameter set of a GraphExec. UpdateBytes
@@ -240,20 +271,59 @@ func (x *GraphExec) SetLaunchOverhead(d float64) error {
 // any node failed (a failed copy does not stop dependent nodes, matching
 // eager stream semantics where a stream keeps executing past a failed
 // operation).
+//
+// A replay is one record: its per-node state lives in one slice, and the
+// replay is the handler of every node event. Node completions are not
+// sim.Signals: firing a node schedules, in order, exactly the callbacks a
+// signal would — the node's own completion, then one dependency gate per
+// dependent node, in the order the dependents registered (ascending ID).
+// The event sequence is the one per-node signals would produce, and a
+// launch allocates O(1) objects whatever the node count.
 type Replay struct {
 	x      *GraphExec
 	params *execParams
-	done   *sim.Signal
+	done   sim.Signal
 
 	remaining int
 	firstErr  error
+	// wired is set once the kickoff event has registered every
+	// dependency; nodes firing before (empty roots) have no dependents
+	// registered yet.
+	wired bool
 
-	groupRem  []int
-	groupErr  []error
-	groupSigs []*sim.Signal
-
-	nodeSigs []*sim.Signal
+	nodes  []replayNode
+	groups []replayGroup
 }
+
+// replayNode is one node's execution state.
+type replayNode struct {
+	pending int // dependencies not yet completed
+	fired   bool
+	err     error
+	on      *sim.Signal // copy: the flow's completion
+	sem     *engineSem  // copy: the engines it holds or waits for
+}
+
+// replayGroup tracks one capture group's completion.
+type replayGroup struct {
+	sig  sim.Signal
+	rem  int
+	err  error
+	open bool // GroupDone handed sig out
+}
+
+// Replay handler arguments: node ID << replayShift | stage.
+const replayShift = 3
+
+const (
+	rStart    = iota // kickoff after the launch overhead
+	rComplete        // a node completed: replay and group bookkeeping
+	rGate            // one dependency of a node completed
+	rEngine          // copy: an engine is held; pay the route latency
+	rFlow            // copy: latency paid; start the flow
+	rCopied          // copy: the flow completed
+	rFire            // delay elapsed, or zero-byte copy latency paid
+)
 
 // Launch replays the whole DAG: after the exec's launch overhead elapses,
 // every root node starts and the topology unrolls inside simulator
@@ -265,11 +335,12 @@ func (x *GraphExec) Launch() *Replay {
 	rep := &Replay{
 		x:         x,
 		params:    x.params.Load(),
-		done:      s.NewSignal(),
 		remaining: len(x.g.nodes),
-		groupRem:  append([]int(nil), x.groupSize...),
-		groupErr:  make([]error, len(x.groupSize)),
-		groupSigs: make([]*sim.Signal, len(x.groupSize)),
+		groups:    make([]replayGroup, len(x.groupSize)),
+	}
+	rep.done.Init(s)
+	for i, n := range x.groupSize {
+		rep.groups[i].rem = n
 	}
 	x.launches.Add(1)
 	if tr := x.g.rt.tr; tr != nil {
@@ -278,54 +349,85 @@ func (x *GraphExec) Launch() *Replay {
 			obs.KVf("overhead_s", rep.params.overhead),
 			obs.KVi("launches", x.launches.Load()))
 	}
-	s.Schedule(rep.params.overhead, rep.start)
+	s.ScheduleHandler(rep.params.overhead, rep, rStart)
 	return rep
 }
 
 // Done returns the whole-replay completion signal.
-func (r *Replay) Done() *sim.Signal { return r.done }
+func (r *Replay) Done() *sim.Signal { return &r.done }
 
 // GroupDone returns the completion signal for one capture group: it fires
 // when every node tagged with the group has completed, failing with the
 // group's first node error. Call before the simulation drains the replay.
 func (r *Replay) GroupDone(group int) *sim.Signal {
-	if group < 0 || group >= len(r.groupSigs) {
-		panic(fmt.Sprintf("cuda: group %d out of range [0,%d)", group, len(r.groupSigs)))
+	if group < 0 || group >= len(r.groups) {
+		panic(fmt.Sprintf("cuda: group %d out of range [0,%d)", group, len(r.groups)))
 	}
-	if r.groupSigs[group] == nil {
-		sig := r.x.g.rt.sim.NewSignal()
-		r.groupSigs[group] = sig
-		if r.groupRem[group] == 0 {
+	g := &r.groups[group]
+	if !g.open {
+		g.open = true
+		g.sig.Init(r.x.g.rt.sim)
+		if g.rem == 0 {
 			r.settleGroup(group)
 		}
 	}
-	return r.groupSigs[group]
+	return &g.sig
 }
 
 // settleGroup fires a group signal once its nodes have drained.
 func (r *Replay) settleGroup(group int) {
-	sig := r.groupSigs[group]
-	if sig == nil {
+	g := &r.groups[group]
+	if !g.open {
 		return
 	}
-	if err := r.groupErr[group]; err != nil {
-		sig.Fail(err)
+	if g.err != nil {
+		g.sig.Fail(g.err)
 		return
 	}
-	sig.Fire()
+	g.sig.Fire()
+}
+
+// Handle runs one replay event; arg is node ID << replayShift | stage.
+func (r *Replay) Handle(arg int) {
+	id, stage := arg>>replayShift, arg&(1<<replayShift-1)
+	s := r.x.g.rt.sim
+	switch stage {
+	case rStart:
+		r.start()
+	case rComplete:
+		r.nodeComplete(id, r.nodes[id].err)
+	case rGate:
+		n := &r.nodes[id]
+		n.pending--
+		if n.pending == 0 {
+			r.runNode(id)
+		}
+	case rEngine:
+		s.ScheduleHandler(r.x.g.nodes[id].lat, r, id<<replayShift|rFlow)
+	case rFlow:
+		gn := &r.x.g.nodes[id]
+		n := &r.nodes[id]
+		n.on = r.x.g.rt.node.Net.StartFlow(r.params.bytes[id], gn.links...).Done()
+		n.on.OnFireHandler(r, id<<replayShift|rCopied)
+	case rCopied:
+		n := &r.nodes[id]
+		n.sem.release(s)
+		err := n.on.Err()
+		n.on, n.sem = nil, nil
+		r.fire(id, err)
+	default: // rFire
+		r.fire(id, nil)
+	}
 }
 
 // start wires and kicks off the DAG. It runs inside a simulator event, so
 // the O(nodes) fan-out costs no simulated time and no caller time.
 func (r *Replay) start() {
 	g := r.x.g
-	r.nodeSigs = make([]*sim.Signal, len(g.nodes))
-	for i := range g.nodes {
-		id := i
-		sig := g.rt.sim.NewSignal()
-		r.nodeSigs[id] = sig
-		sig.OnFire(func() { r.nodeComplete(id, sig.Err()) })
-		deps := g.nodes[id].deps
+	s := g.rt.sim
+	r.nodes = make([]replayNode, len(g.nodes))
+	for id := range g.nodes {
+		deps := g.nodeDeps(id)
 		if len(deps) == 0 {
 			r.runNode(id)
 			continue
@@ -333,50 +435,53 @@ func (r *Replay) start() {
 		// Dependency gate: run when every dep has completed, regardless of
 		// dep errors (matching eager streams, which execute the next
 		// operation after a failed one; errors surface via completion).
-		pending := len(deps)
+		// A dep that already fired gates at once, like a waiter
+		// registered on a fired signal.
+		r.nodes[id].pending = len(deps)
 		for _, d := range deps {
-			r.nodeSigs[d].OnFire(func() {
-				pending--
-				if pending == 0 {
-					r.runNode(id)
-				}
-			})
+			if r.nodes[d].fired {
+				s.ScheduleHandler(0, r, id<<replayShift|rGate)
+			}
 		}
 	}
+	r.wired = true
 }
 
-// runNode executes one node at the current instant, firing its signal on
-// completion.
+// runNode executes one node at the current instant.
 func (r *Replay) runNode(id int) {
 	g := r.x.g
 	n := &g.nodes[id]
-	sig := r.nodeSigs[id]
 	switch n.kind {
 	case nodeCopy:
-		bytes := r.params.bytes[id]
-		if bytes <= 0 {
+		if r.params.bytes[id] <= 0 {
 			// A path patched down to zero bytes: the node degenerates to
 			// its route latency with no flow started.
-			g.rt.sim.Schedule(n.route.Latency, sig.Fire)
+			g.rt.sim.ScheduleHandler(n.lat, r, id<<replayShift|rFire)
 			return
 		}
-		n.dev.acquireEngine(func(release func()) {
-			g.rt.sim.Schedule(n.route.Latency, func() {
-				f := g.rt.node.Net.StartFlow(bytes, n.route.Links...)
-				f.Done().OnFire(func() {
-					release()
-					if err := f.Done().Err(); err != nil {
-						sig.Fail(err)
-						return
-					}
-					sig.Fire()
-				})
-			})
-		})
+		rn := &r.nodes[id]
+		rn.sem = n.dev.engines
+		rn.sem.acquire(r, id<<replayShift|rEngine)
 	case nodeDelay:
-		g.rt.sim.Schedule(n.dur, sig.Fire)
+		g.rt.sim.ScheduleHandler(n.lat, r, id<<replayShift|rFire)
 	default: // nodeEmpty
-		sig.Fire()
+		r.fire(id, nil)
+	}
+}
+
+// fire completes a node: it schedules the node's completion bookkeeping,
+// then the dependency gate of each dependent, in registration order.
+func (r *Replay) fire(id int, err error) {
+	n := &r.nodes[id]
+	n.fired, n.err = true, err
+	s := r.x.g.rt.sim
+	s.ScheduleHandler(0, r, id<<replayShift|rComplete)
+	if !r.wired {
+		return
+	}
+	g := r.x.g
+	for _, c := range g.children[g.childOff[id]:g.childOff[id+1]] {
+		s.ScheduleHandler(0, r, int(c)<<replayShift|rGate)
 	}
 }
 
@@ -385,17 +490,21 @@ func (r *Replay) nodeComplete(id int, err error) {
 	if err != nil && r.firstErr == nil {
 		r.firstErr = err
 	}
-	if grp := r.x.g.nodes[id].group; grp >= 0 {
-		if err != nil && r.groupErr[grp] == nil {
-			r.groupErr[grp] = err
+	if grp := int(r.x.g.nodes[id].group); grp >= 0 {
+		g := &r.groups[grp]
+		if err != nil && g.err == nil {
+			g.err = err
 		}
-		r.groupRem[grp]--
-		if r.groupRem[grp] == 0 {
+		g.rem--
+		if g.rem == 0 {
 			r.settleGroup(grp)
 		}
 	}
 	r.remaining--
 	if r.remaining == 0 {
+		// Every node and every dependency gate has run; the per-node
+		// state is no longer needed by anyone holding the replay.
+		r.nodes = nil
 		if r.firstErr != nil {
 			r.done.Fail(r.firstErr)
 			return

@@ -3,6 +3,7 @@ package cuda
 import (
 	"fmt"
 
+	"repro/internal/fluid"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -19,6 +20,8 @@ import (
 type Stream struct {
 	dev  *Device
 	name string
+	// tail is the completion of the last enqueued operation; nil until
+	// the first one, while the stream is idle since creation.
 	tail *sim.Signal
 
 	// graph is non-nil while the stream captures into a transfer graph;
@@ -36,24 +39,27 @@ func (s *Stream) Capturing() bool { return s.graph != nil }
 // stream tail. The returned inert signal stands in for the operation's
 // completion (it never fires; replays expose real completion).
 func (s *Stream) captureNode(n graphNode, extraDeps ...int) *sim.Signal {
+	g := s.graph
+	n.depLo = int32(len(g.deps))
 	if s.capTail >= 0 {
-		n.deps = append(n.deps, s.capTail)
+		g.deps = append(g.deps, int32(s.capTail))
 	}
 	for _, d := range extraDeps {
 		if d >= 0 {
-			n.deps = append(n.deps, d)
+			g.deps = append(g.deps, int32(d))
 		}
 	}
-	sortDeps(n.deps)
+	n.depHi = int32(len(g.deps))
+	sortDeps(g.deps[n.depLo:n.depHi])
 	n.dev = s.dev
-	s.capTail = s.graph.addNode(n)
+	s.capTail = g.addNode(n)
 	return s.dev.rt.sim.NewSignal()
 }
 
 // sortDeps orders a (tiny) dependency list ascending; graph child and
 // dependency tables are always kept in sorted node-ID order so traversal
 // is deterministic.
-func sortDeps(deps []int) {
+func sortDeps(deps []int32) {
 	for i := 1; i < len(deps); i++ {
 		for j := i; j > 0 && deps[j] < deps[j-1]; j-- {
 			deps[j], deps[j-1] = deps[j-1], deps[j]
@@ -61,11 +67,11 @@ func sortDeps(deps []int) {
 	}
 }
 
-// NewStream creates a stream on the device.
+// NewStream creates an idle stream on the device. Its first operation
+// starts at the instant it is enqueued, exactly like one enqueued behind
+// already-completed work.
 func (d *Device) NewStream(name string) *Stream {
-	tail := d.rt.sim.NewSignal()
-	tail.Fire() // an empty stream is idle
-	return &Stream{dev: d, name: name, tail: tail}
+	return &Stream{dev: d, name: name}
 }
 
 // Device returns the stream's device.
@@ -74,14 +80,107 @@ func (s *Stream) Device() *Device { return s.dev }
 // Name returns the diagnostic name given at creation.
 func (s *Stream) Name() string { return s.name }
 
-// enqueue appends an operation. run is invoked when the stream reaches the
-// operation and must eventually fire done.
-func (s *Stream) enqueue(run func(done *sim.Signal)) *sim.Signal {
-	done := s.dev.rt.sim.NewSignal()
+// Stages of a stream operation, passed as its handler argument.
+const (
+	opStart  = iota // the stream reached the operation
+	opEngine        // copy: an engine is held; pay the route latency
+	opFlow          // copy: latency paid; start the flow
+	opCopied        // copy: the flow completed
+	opFire          // delay elapsed or awaited event fired
+)
+
+// streamOp is what every operation enqueued on a stream shares: the
+// completion signal the enqueue call returns, embedded. Each kind of
+// operation is one record embedding it and the handler of every stage of
+// its life, so enqueueing allocates that record and, for a copy, the flow
+// it starts. References an operation no longer needs are dropped when it
+// completes, so a caller holding its signal keeps only the record alive.
+type streamOp struct {
+	done sim.Signal
+	dev  *Device
+}
+
+// copyOp moves bytes over a route, holding one of the device's engines.
+type copyOp struct {
+	streamOp
+	links []*fluid.Link
+	lat   float64 // route latency
+	bytes float64
+	on    *sim.Signal // the flow's completion
+	sem   *engineSem  // the engines it holds or waits for (nil = uncapped)
+}
+
+// delayOp occupies the stream for a fixed time.
+type delayOp struct {
+	streamOp
+	dur float64
+}
+
+// waitOp waits for an event recorded on another stream.
+type waitOp struct {
+	streamOp
+	on *sim.Signal
+}
+
+// enqueue appends op, whose handler is h; it starts once the stream's
+// previous operation has completed.
+func (s *Stream) enqueue(op *streamOp, h sim.Handler) *sim.Signal {
+	sm := s.dev.rt.sim
+	op.done.Init(sm)
+	op.dev = s.dev
 	prev := s.tail
-	s.tail = done
-	prev.OnFire(func() { run(done) })
-	return done
+	s.tail = &op.done
+	if prev == nil {
+		sm.ScheduleHandler(0, h, opStart)
+	} else {
+		prev.OnFireHandler(h, opStart)
+	}
+	return &op.done
+}
+
+// Handle advances the copy through its stages.
+func (op *copyOp) Handle(stage int) {
+	sm := op.dev.rt.sim
+	switch stage {
+	case opStart:
+		op.sem = op.dev.engines
+		op.sem.acquire(op, opEngine)
+	case opEngine:
+		sm.ScheduleHandler(op.lat, op, opFlow)
+	case opFlow:
+		op.on = op.dev.rt.node.Net.StartFlow(op.bytes, op.links...).Done()
+		op.on.OnFireHandler(op, opCopied)
+	default: // opCopied
+		op.sem.release(sm)
+		err := op.on.Err()
+		op.links, op.on, op.sem = nil, nil, nil
+		if err != nil {
+			// A link on the route failed mid-copy; surface it so the
+			// pipeline can classify and fail over.
+			op.done.Fail(err)
+			return
+		}
+		op.done.Fire()
+	}
+}
+
+// Handle starts the delay, then completes it.
+func (op *delayOp) Handle(stage int) {
+	if stage == opStart {
+		op.dev.rt.sim.ScheduleHandler(op.dur, op, opFire)
+		return
+	}
+	op.done.Fire()
+}
+
+// Handle starts waiting on the event, then completes once it fired.
+func (op *waitOp) Handle(stage int) {
+	if stage == opStart {
+		op.on.OnFireHandler(op, opFire)
+		return
+	}
+	op.on = nil
+	op.done.Fire()
 }
 
 // Tail returns a signal that fires when all currently enqueued work
@@ -90,6 +189,11 @@ func (s *Stream) enqueue(run func(done *sim.Signal)) *sim.Signal {
 func (s *Stream) Tail() *sim.Signal {
 	if s.graph != nil {
 		panic("cuda: Tail on a capturing stream")
+	}
+	if s.tail == nil {
+		// Idle since creation: hand out an already-fired signal.
+		s.tail = s.dev.rt.sim.NewSignal()
+		s.tail.Fire()
 	}
 	return s.tail
 }
@@ -103,27 +207,10 @@ func (s *Stream) Synchronize(p *sim.Proc) error { return p.Wait(s.Tail()) }
 // the copy holds one of the device's copy engines while in flight.
 func (s *Stream) copyOnRoute(r hw.Route, bytes float64) *sim.Signal {
 	if s.graph != nil {
-		return s.captureNode(graphNode{kind: nodeCopy, route: r, bytes: bytes})
+		return s.captureNode(graphNode{kind: nodeCopy, links: r.Links, lat: r.Latency, bytes: bytes})
 	}
-	rt := s.dev.rt
-	dev := s.dev
-	return s.enqueue(func(done *sim.Signal) {
-		dev.acquireEngine(func(release func()) {
-			rt.sim.Schedule(r.Latency, func() {
-				f := rt.node.Net.StartFlow(bytes, r.Links...)
-				f.Done().OnFire(func() {
-					release()
-					if err := f.Done().Err(); err != nil {
-						// A link on the route failed mid-copy; surface it so
-						// the pipeline can classify and fail over.
-						done.Fail(err)
-						return
-					}
-					done.Fire()
-				})
-			})
-		})
-	})
+	op := &copyOp{links: r.Links, lat: r.Latency, bytes: bytes}
+	return s.enqueue(&op.streamOp, op)
 }
 
 // CopyRouteAsync enqueues a copy over an explicit route — the escape
@@ -163,18 +250,16 @@ func (s *Stream) MemcpyFromHostAsync(numa int, bytes float64) *sim.Signal {
 // inserted explicitly by higher layers.
 func (s *Stream) Delay(d float64) *sim.Signal {
 	if s.graph != nil {
-		return s.captureNode(graphNode{kind: nodeDelay, dur: d})
+		return s.captureNode(graphNode{kind: nodeDelay, lat: d})
 	}
-	rt := s.dev.rt
-	return s.enqueue(func(done *sim.Signal) {
-		rt.sim.Schedule(d, done.Fire)
-	})
+	op := &delayOp{dur: d}
+	return s.enqueue(&op.streamOp, op)
 }
 
-// Event marks a point in a stream's execution. An event recorded on a
-// capturing stream identifies a graph node instead of carrying a live
-// signal; it can only be waited on by streams capturing into the same
-// graph.
+// Event marks a point in a stream's execution. It is a small value:
+// recording one allocates nothing. An event recorded on a capturing
+// stream identifies a graph node instead of carrying a live signal; it
+// can only be waited on by streams capturing into the same graph.
 type Event struct {
 	sig *sim.Signal
 	// graph/node identify a captured event (sig is nil). node is -1 when
@@ -186,20 +271,20 @@ type Event struct {
 
 // Fired reports whether the event has completed. Captured events never
 // fire at capture time.
-func (e *Event) Fired() bool { return e.sig != nil && e.sig.Fired() }
+func (e Event) Fired() bool { return e.sig != nil && e.sig.Fired() }
 
 // Signal exposes the underlying completion signal (nil for captured
 // events, whose completion is observable only on a replay).
-func (e *Event) Signal() *sim.Signal { return e.sig }
+func (e Event) Signal() *sim.Signal { return e.sig }
 
 // RecordEvent captures the stream's current tail: the event fires when all
 // previously enqueued work completes. On a capturing stream it marks the
 // current capture tail node.
-func (s *Stream) RecordEvent() *Event {
+func (s *Stream) RecordEvent() Event {
 	if s.graph != nil {
-		return &Event{graph: s.graph, node: s.capTail}
+		return Event{graph: s.graph, node: s.capTail}
 	}
-	return &Event{sig: s.tail}
+	return Event{sig: s.Tail()}
 }
 
 // WaitEvent makes subsequent operations on the stream wait for the event
@@ -207,7 +292,7 @@ func (s *Stream) RecordEvent() *Event {
 // capture the wait materializes an empty node depending on both the
 // stream tail and the event's node, making the cross-stream edge part of
 // the captured topology.
-func (s *Stream) WaitEvent(e *Event) {
+func (s *Stream) WaitEvent(e Event) {
 	if s.graph != nil {
 		if e.graph != s.graph {
 			panic("cuda: WaitEvent during capture on an event not captured in the same graph")
@@ -218,7 +303,6 @@ func (s *Stream) WaitEvent(e *Event) {
 	if e.sig == nil {
 		panic("cuda: WaitEvent on a captured event outside its graph's capture")
 	}
-	s.enqueue(func(done *sim.Signal) {
-		e.sig.OnFire(done.Fire)
-	})
+	op := &waitOp{on: e.sig}
+	s.enqueue(&op.streamOp, op)
 }

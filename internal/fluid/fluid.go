@@ -172,29 +172,47 @@ func (l *Link) BusyTime() float64 {
 	return l.busy
 }
 
-// Flow is an in-progress transfer over a route.
+// Flow is an in-progress transfer over a route. It embeds its done signal
+// and is the handler of its own completion events, so starting a flow
+// allocates the Flow and nothing else.
 type Flow struct {
 	route      []*Link
-	routeIdx   []int // position of this flow in each route link's active slice
-	idxBuf     [4]int
+	routeIdx   []int32 // position of this flow in each route link's active slice
+	idxBuf     [4]int32
 	remaining  float64
 	rate       float64
-	done       *sim.Signal
+	done       sim.Signal
 	completion sim.EventHandle
-	finishFn   func() // reused by every (re)scheduled completion event
-	finished   bool
 	started    sim.Time
 	seq        uint64 // monotonic start order; deterministic tie-breaker
 	net        *Network
+	finished   bool
 
 	// re-rating scratch, valid only inside a reach/rerate sequence.
-	visit   uint64 // equals net.stamp while in the collected component
 	frozen  bool
+	visit   uint64 // equals net.stamp while in the collected component
 	newRate float64
 }
 
+// flowEvent is the Handler form of a Flow; its argument selects the event.
+type flowEvent Flow
+
+const (
+	flowFinish = iota // a (re)scheduled completion: settle and finish
+	flowFire          // a zero-byte flow completes at once
+)
+
+func (e *flowEvent) Handle(arg int) {
+	f := (*Flow)(e)
+	if arg == flowFire {
+		f.done.Fire()
+		return
+	}
+	f.net.finish(f)
+}
+
 // Done returns the signal that fires when the flow completes.
-func (f *Flow) Done() *sim.Signal { return f.done }
+func (f *Flow) Done() *sim.Signal { return &f.done }
 
 // Rate returns the flow's current allocated rate in bytes/second.
 func (f *Flow) Rate() float64 { return f.rate }
@@ -283,13 +301,13 @@ func (n *Network) StartFlow(bytes float64, route ...*Link) *Flow {
 	f := &Flow{
 		route:     route,
 		remaining: bytes,
-		done:      n.sim.NewSignal(),
 		started:   n.sim.Now(),
 		net:       n,
 	}
+	f.done.Init(n.sim)
 	if bytes == 0 {
 		f.finished = true
-		n.sim.Schedule(0, f.done.Fire)
+		n.sim.ScheduleHandler(0, (*flowEvent)(f), flowFire)
 		return f
 	}
 	for _, l := range route {
@@ -303,17 +321,16 @@ func (n *Network) StartFlow(bytes float64, route ...*Link) *Flow {
 		}
 	}
 	n.settle()
-	f.finishFn = func() { n.finish(f) }
 	f.seq = n.flowSeq
 	n.flowSeq++
 	n.flows = append(n.flows, f)
 	if len(route) <= len(f.idxBuf) {
 		f.routeIdx = f.idxBuf[:0]
 	} else {
-		f.routeIdx = make([]int, 0, len(route))
+		f.routeIdx = make([]int32, 0, len(route))
 	}
 	for _, l := range route {
-		f.routeIdx = append(f.routeIdx, len(l.active))
+		f.routeIdx = append(f.routeIdx, int32(len(l.active)))
 		l.active = append(l.active, f)
 	}
 	n.reach(route[0]) // f joins every link of its route to one component
@@ -409,7 +426,7 @@ func (n *Network) rerate() {
 				// capacities, but guard against division by zero).
 				continue
 			}
-			f.completion = n.sim.Schedule(f.remaining/f.rate, f.finishFn)
+			f.completion = n.sim.ScheduleHandler(f.remaining/f.rate, (*flowEvent)(f), flowFinish)
 		}
 	}
 	clear(n.compFlows) // drop references to flows that may finish
@@ -563,7 +580,7 @@ func (n *Network) finish(f *Flow) {
 		// that finishes the flow early) and reschedule at the current rate.
 		f.completion.Cancel()
 		if f.rate > 0 {
-			f.completion = n.sim.Schedule(f.remaining/f.rate, f.finishFn)
+			f.completion = n.sim.ScheduleHandler(f.remaining/f.rate, (*flowEvent)(f), flowFinish)
 		}
 		return
 	}

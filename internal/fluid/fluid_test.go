@@ -343,3 +343,28 @@ func BenchmarkFlowChurn(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestStartFlowAllocatesOnlyTheFlow checks that starting a flow and
+// draining it allocates one object: the Flow, with its done signal and
+// completion handler embedded.
+func TestStartFlowAllocatesOnlyTheFlow(t *testing.T) {
+	s := sim.New()
+	n := NewNetwork(s)
+	route := []*Link{n.AddLink("a", 100), n.AddLink("b", 50)}
+	n.StartFlow(10, route...) // warm the event arena and active sets
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f := n.StartFlow(10, route...)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !f.Done().Fired() {
+			t.Fatal("flow did not complete")
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("StartFlow + drain allocates %.1f objects, want 1", allocs)
+	}
+}

@@ -12,6 +12,7 @@ package hw
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/fluid"
 	"repro/internal/sim"
@@ -130,6 +131,15 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("hw: Inter pair %v: %w", p, err)
 		}
 	}
+	// A host-staged path between NVLink peers stages through one GPU's
+	// NUMA domain, so it needs an Inter link whenever the peers sit in two
+	// domains; without one, planning such a pair could not build the path.
+	for _, p := range sortedPairs(sp.NVLink) {
+		a, b := sp.GPUNuma[p.A], sp.GPUNuma[p.B]
+		if _, ok := sp.Inter[MakePair(a, b)]; a != b && !ok {
+			return fmt.Errorf("hw: NVLink pair %v spans NUMA domains %d and %d with no Inter link between them", p, a, b)
+		}
+	}
 	if sp.GPUSyncOverhead < 0 || sp.HostSyncOverhead < 0 {
 		return fmt.Errorf("hw: topology %q has negative sync overhead", sp.Name)
 	}
@@ -184,6 +194,24 @@ type Node struct {
 	pcieDown []*fluid.Link          // host complex -> GPU
 	mem      []*fluid.Link          // shared per-NUMA memory channel
 	inter    map[[2]int]*fluid.Link // directed NUMA->NUMA
+
+	// Routes are laid out once at build: link slices (capacity-capped and
+	// shared by every caller, who must not write them) and summed
+	// latencies. Route bandwidth is still read live from link capacities.
+	// routes holds GPU->GPU routes at src*GPUs+dst, then GPU->host routes
+	// at hostUp+gpu*NUMAs+m, then host->GPU routes at hostDown+m*GPUs+gpu;
+	// a route with no links does not exist (no NVLink, no inter-NUMA link).
+	routes           []routeLinks
+	hostUp, hostDown int
+	// paths caches each ordered GPU pair's AllPaths enumeration, filled
+	// on first use (see Paths).
+	paths []atomic.Pointer[pathList]
+}
+
+// routeLinks is a prebuilt route minus its live bandwidth.
+type routeLinks struct {
+	links []*fluid.Link
+	lat   float64
 }
 
 // Build realizes the spec on a fresh fluid network bound to s.
@@ -223,7 +251,53 @@ func BuildInto(net *fluid.Network, sp *Spec, prefix string) (*Node, error) {
 		n.inter[[2]int{p.A, p.B}] = net.AddLink(fmt.Sprintf("%sinter:%d->%d", prefix, p.A, p.B), lp.Bandwidth)
 		n.inter[[2]int{p.B, p.A}] = net.AddLink(fmt.Sprintf("%sinter:%d->%d", prefix, p.B, p.A), lp.Bandwidth)
 	}
+	n.buildRoutes()
 	return n, nil
+}
+
+// buildRoutes lays out every GPU-GPU and GPU-host route of the node, all
+// link slices carved from one backing array.
+func (n *Node) buildRoutes() {
+	sp := n.Spec
+	g, m := sp.GPUs, sp.NUMAs
+	n.hostUp, n.hostDown = g*g, g*g+g*m
+	n.routes = make([]routeLinks, g*g+2*g*m)
+	n.paths = make([]atomic.Pointer[pathList], g*g)
+	backing := make([]*fluid.Link, 0, len(n.nvl)+6*g*m)
+	carve := func(links ...*fluid.Link) []*fluid.Link {
+		start := len(backing)
+		backing = append(backing, links...)
+		return backing[start:len(backing):len(backing)]
+	}
+	for src := 0; src < g; src++ {
+		for dst := 0; dst < g; dst++ {
+			if l, ok := n.nvl[[2]int{src, dst}]; ok {
+				n.routes[src*g+dst] = routeLinks{carve(l), sp.NVLink[MakePair(src, dst)].Latency}
+			}
+		}
+	}
+	for gpu := 0; gpu < g; gpu++ {
+		gn := sp.GPUNuma[gpu]
+		for numa := 0; numa < m; numa++ {
+			up := routeLinks{lat: sp.PCIe[gpu].Latency + sp.Mem[numa].Latency}
+			down := routeLinks{lat: sp.Mem[numa].Latency + sp.PCIe[gpu].Latency}
+			if gn == numa {
+				up.links = carve(n.pcieUp[gpu], n.mem[numa])
+				down.links = carve(n.mem[numa], n.pcieDown[gpu])
+			} else {
+				if il, ok := n.inter[[2]int{gn, numa}]; ok {
+					up.links = carve(n.pcieUp[gpu], il, n.mem[numa])
+					up.lat += sp.Inter[MakePair(gn, numa)].Latency
+				}
+				if il, ok := n.inter[[2]int{numa, gn}]; ok {
+					down.links = carve(n.mem[numa], il, n.pcieDown[gpu])
+					down.lat += sp.Inter[MakePair(numa, gn)].Latency
+				}
+			}
+			n.routes[n.hostUp+gpu*m+numa] = up
+			n.routes[n.hostDown+numa*g+gpu] = down
+		}
+	}
 }
 
 // nvlinkPairs returns NVLink pairs in deterministic order.
@@ -266,6 +340,9 @@ func MakeRoute(latency float64, links ...*fluid.Link) Route {
 	return mkRoute(latency, links...)
 }
 
+// route completes a prebuilt route with its live bottleneck bandwidth.
+func (rl routeLinks) route() Route { return mkRoute(rl.lat, rl.links...) }
+
 func mkRoute(latency float64, links ...*fluid.Link) Route {
 	bw := 0.0
 	for i, l := range links {
@@ -279,50 +356,45 @@ func mkRoute(latency float64, links ...*fluid.Link) Route {
 // GPUToGPU returns the direct route between two GPUs over NVLink.
 // ok is false when no direct link exists.
 func (n *Node) GPUToGPU(src, dst int) (Route, bool) {
-	l, ok := n.nvl[[2]int{src, dst}]
-	if !ok {
+	g := n.Spec.GPUs
+	if src < 0 || src >= g || dst < 0 || dst >= g {
 		return Route{}, false
 	}
-	lp := n.Spec.NVLink[MakePair(src, dst)]
-	return mkRoute(lp.Latency, l), true
+	rl := n.routes[src*g+dst]
+	if rl.links == nil {
+		return Route{}, false
+	}
+	return rl.route(), true
 }
 
 // GPUToHost returns the route from a GPU into the memory of NUMA domain m.
 func (n *Node) GPUToHost(gpu, m int) Route {
-	sp := n.Spec
-	gn := sp.GPUNuma[gpu]
-	lat := sp.PCIe[gpu].Latency + sp.Mem[m].Latency
-	links := []*fluid.Link{n.pcieUp[gpu]}
-	if gn != m {
-		il, ok := n.inter[[2]int{gn, m}]
-		if !ok {
-			// No direct inter-NUMA link: treat as unreachable by panicking
-			// in tests; production specs always provide them.
-			panic(fmt.Sprintf("hw: no inter-NUMA link %d->%d", gn, m))
-		}
-		links = append(links, il)
-		lat += sp.Inter[MakePair(gn, m)].Latency
+	n.checkHostRoute(gpu, m)
+	rl := n.routes[n.hostUp+gpu*n.Spec.NUMAs+m]
+	if rl.links == nil {
+		// No direct inter-NUMA link. Validate rejects specs whose paths
+		// would need one, so only a hand-picked route gets here.
+		panic(fmt.Sprintf("hw: no inter-NUMA link %d->%d", n.Spec.GPUNuma[gpu], m))
 	}
-	links = append(links, n.mem[m])
-	return mkRoute(lat, links...)
+	return rl.route()
 }
 
 // HostToGPU returns the route from NUMA domain m's memory to a GPU.
 func (n *Node) HostToGPU(m, gpu int) Route {
-	sp := n.Spec
-	gn := sp.GPUNuma[gpu]
-	lat := sp.Mem[m].Latency + sp.PCIe[gpu].Latency
-	links := []*fluid.Link{n.mem[m]}
-	if gn != m {
-		il, ok := n.inter[[2]int{m, gn}]
-		if !ok {
-			panic(fmt.Sprintf("hw: no inter-NUMA link %d->%d", m, gn))
-		}
-		links = append(links, il)
-		lat += sp.Inter[MakePair(m, gn)].Latency
+	n.checkHostRoute(gpu, m)
+	rl := n.routes[n.hostDown+m*n.Spec.GPUs+gpu]
+	if rl.links == nil {
+		panic(fmt.Sprintf("hw: no inter-NUMA link %d->%d", m, n.Spec.GPUNuma[gpu]))
 	}
-	links = append(links, n.pcieDown[gpu])
-	return mkRoute(lat, links...)
+	return rl.route()
+}
+
+// checkHostRoute panics on a GPU or NUMA index outside the node, which
+// would otherwise select another pair's route from the flat table.
+func (n *Node) checkHostRoute(gpu, m int) {
+	if gpu < 0 || gpu >= n.Spec.GPUs || m < 0 || m >= n.Spec.NUMAs {
+		panic(fmt.Sprintf("hw: host route GPU %d NUMA %d out of range (%d GPUs, %d NUMA domains)", gpu, m, n.Spec.GPUs, n.Spec.NUMAs))
+	}
 }
 
 // MemLink exposes the shared memory-channel link of a NUMA domain

@@ -214,9 +214,9 @@ func (c *Cluster) startEntry(e *PlanEntry, final *sim.Signal) {
 	chunk := e.Bytes / float64(k)
 	const slots = 2
 	// done[j][ci] is stage j's completion event for chunk ci.
-	done := make([][]*cuda.Event, len(stages))
+	done := make([][]cuda.Event, len(stages))
 	for j := range done {
-		done[j] = make([]*cuda.Event, k)
+		done[j] = make([]cuda.Event, k)
 	}
 	var last *sim.Signal
 	for ci := 0; ci < k; ci++ {

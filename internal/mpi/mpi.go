@@ -136,16 +136,48 @@ func (w *World) Spawn(body func(p *sim.Proc, r *Rank) error) (*sim.Signal, func(
 
 // Request is a non-blocking operation handle.
 type Request struct {
-	done  *sim.Signal
+	done  sim.Signal
 	bytes float64
 	key   matchKey
 	// hint is the sender-side communication-pattern hint forwarded to the
 	// transport when the transfer starts.
 	hint [][2]int
+	// A send matched to its receive holds the receive and the transport
+	// request until the transfer completes both.
+	peer *Request
+	ureq *ucx.Request
+}
+
+// newRequest creates an unfired request on w's simulator.
+func (w *World) newRequest(bytes float64, key matchKey, hint [][2]int) *Request {
+	req := &Request{bytes: bytes, key: key, hint: hint}
+	req.done.Init(w.sim())
+	return req
 }
 
 // Done exposes the completion signal.
-func (r *Request) Done() *sim.Signal { return r.done }
+func (r *Request) Done() *sim.Signal { return &r.done }
+
+// matched is the Handler form of a send request matched to its receive:
+// it completes both when the transfer (or control message) lands.
+type matched Request
+
+func (m *matched) Handle(int) {
+	sreq := (*Request)(m)
+	rreq := sreq.peer
+	var err error
+	if sreq.ureq != nil {
+		err = sreq.ureq.Done.Err()
+	}
+	sreq.peer, sreq.ureq = nil, nil
+	if err != nil {
+		sreq.done.Fail(err)
+		rreq.done.Fail(err)
+		return
+	}
+	sreq.done.Fire()
+	rreq.done.Fire()
+}
 
 // Rank is the per-process MPI handle.
 type Rank struct {
@@ -182,7 +214,7 @@ func (r *Rank) isend(dst int, bytes float64, tag int, hint [][2]int) (*Request, 
 	}
 	w := r.world
 	key := matchKey{src: r.rank, dst: dst, tag: tag}
-	req := &Request{done: w.sim().NewSignal(), bytes: bytes, key: key, hint: hint}
+	req := w.newRequest(bytes, key, hint)
 	if q := w.recvQ[key]; len(q) > 0 {
 		peer := q[0]
 		w.recvQ[key] = q[1:]
@@ -201,7 +233,7 @@ func (r *Rank) Irecv(src int, bytes float64, tag int) (*Request, error) {
 	}
 	w := r.world
 	key := matchKey{src: src, dst: r.rank, tag: tag}
-	req := &Request{done: w.sim().NewSignal(), bytes: bytes, key: key}
+	req := w.newRequest(bytes, key, nil)
 	if q := w.sendQ[key]; len(q) > 0 {
 		peer := q[0]
 		w.sendQ[key] = q[1:]
@@ -237,10 +269,8 @@ func (w *World) startTransfer(key matchKey, sendBytes float64, sreq, rreq *Reque
 	}
 	if sendBytes <= 0 {
 		// Control message: costs only latency.
-		w.sim().Schedule(w.opts.CtrlLatency, func() {
-			sreq.done.Fire()
-			rreq.done.Fire()
-		})
+		sreq.peer = rreq
+		w.sim().ScheduleHandler(w.opts.CtrlLatency, (*matched)(sreq), 0)
 		return
 	}
 	ep := w.ranks[key.src].eps[key.dst]
@@ -250,15 +280,8 @@ func (w *World) startTransfer(key matchKey, sendBytes float64, sreq, rreq *Reque
 		rreq.done.Fail(err)
 		return
 	}
-	ureq.Done.OnFire(func() {
-		if e := ureq.Done.Err(); e != nil {
-			sreq.done.Fail(e)
-			rreq.done.Fail(e)
-			return
-		}
-		sreq.done.Fire()
-		rreq.done.Fire()
-	})
+	sreq.peer, sreq.ureq = rreq, ureq
+	ureq.Done.OnFireHandler((*matched)(sreq), 0)
 }
 
 // Wait blocks the rank's process until every request completes, returning
@@ -266,7 +289,7 @@ func (w *World) startTransfer(key matchKey, sendBytes float64, sreq, rreq *Reque
 func (r *Rank) Wait(p *sim.Proc, reqs ...*Request) error {
 	var first error
 	for _, req := range reqs {
-		if err := p.Wait(req.done); err != nil && first == nil {
+		if err := p.Wait(&req.done); err != nil && first == nil {
 			first = err
 		}
 	}

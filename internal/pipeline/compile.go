@@ -204,7 +204,7 @@ func (e *Engine) lowerStaged(
 		return compiledPath{}, fmt.Errorf("pipeline: staging alloc for compiled path %v: %w", pp.Path, err)
 	}
 	out := compiledPath{chunks: len(sizes), buf: buf, slotBytes: slotBytes, slots: slots}
-	drained := make([]*cuda.Event, len(sizes))
+	drained := make([]cuda.Event, len(sizes))
 	for c, sz := range sizes {
 		if c >= slots {
 			s1.WaitEvent(drained[c-slots])
@@ -240,37 +240,46 @@ func (e *Engine) ExecuteCompiledSpan(cp *CompiledPlan, parent obs.SpanID) (*Resu
 		return nil, fmt.Errorf("pipeline: ExecuteCompiled on a released compiled plan")
 	}
 	s := e.rt.Sim()
-	res := &Result{
-		Plan:     cp.plan,
-		Started:  s.Now(),
-		PathDone: make([]sim.Time, len(cp.plan.Paths)),
-		PathErr:  make([]error, len(cp.plan.Paths)),
+	run := &replayRun{Result: newResult(cp.plan, s.Now()), e: e, paths: cp.paths}
+	run.rep = cp.exec.Launch()
+	for i := range cp.paths {
+		run.rep.GroupDone(cp.paths[i].group).OnFireHandler(run, i)
 	}
-	for i := range res.PathDone {
-		res.PathDone[i] = -1
-	}
-	rep := cp.exec.Launch()
-	for _, lp := range cp.paths {
-		idx := lp.idx
-		gd := rep.GroupDone(lp.group)
-		gd.OnFire(func() {
-			res.PathDone[idx] = s.Now()
-			res.PathErr[idx] = gd.Err()
-		})
-	}
-	res.Done = rep.Done()
+	run.Done = run.rep.Done()
 	if e.tr != nil {
-		sp := e.tr.Begin("graph", "graph", "replay", parent,
+		run.span = e.tr.Begin("graph", "graph", "replay", parent,
 			obs.KVf("bytes", cp.plan.Bytes), obs.KVi("paths", int64(len(cp.paths))))
-		res.Done.OnFire(func() {
-			if err := res.Done.Err(); err != nil {
-				e.tr.EndWith(sp, obs.KV("outcome", "error"), obs.KV("error", err.Error()))
-				return
-			}
-			e.tr.EndWith(sp, obs.KV("outcome", "ok"))
-		})
+		run.Done.OnFireHandler(run, replaySpanEnd)
 	}
-	return res, nil
+	return &run.Result, nil
+}
+
+// replayRun is the record behind one compiled execution: the Result handed
+// to the caller and the handler recording each path's group completion.
+type replayRun struct {
+	Result
+	e     *Engine
+	rep   *cuda.Replay
+	paths []compiledPath
+	span  obs.SpanID
+}
+
+// replaySpanEnd is the replayRun argument closing the replay's trace span;
+// other arguments index the compiled paths.
+const replaySpanEnd = -1
+
+func (r *replayRun) Handle(arg int) {
+	if arg == replaySpanEnd {
+		if err := r.Done.Err(); err != nil {
+			r.e.tr.EndWith(r.span, obs.KV("outcome", "error"), obs.KV("error", err.Error()))
+			return
+		}
+		r.e.tr.EndWith(r.span, obs.KV("outcome", "ok"))
+		return
+	}
+	lp := &r.paths[arg]
+	r.PathDone[lp.idx] = r.e.rt.Sim().Now()
+	r.PathErr[lp.idx] = r.rep.GroupDone(lp.group).Err()
 }
 
 // Patchable reports whether a compiled graph built from `from` can be

@@ -138,6 +138,78 @@ func (e *Engine) Execute(plan *core.Plan) (*Result, error) {
 	return e.ExecuteSpan(plan, obs.NoSpan)
 }
 
+// newResult starts a Result for plan at the current instant, with every
+// path's completion time at -1.
+func newResult(plan *core.Plan, now sim.Time) Result {
+	res := Result{
+		Plan:     plan,
+		Started:  now,
+		PathDone: make([]sim.Time, len(plan.Paths)),
+		PathErr:  make([]error, len(plan.Paths)),
+	}
+	for i := range res.PathDone {
+		res.PathDone[i] = -1
+	}
+	return res
+}
+
+// execRun is the record behind one eager execution: the Result handed to
+// the caller, the all-paths completion its Done points at, and one
+// pathRun per active path.
+type execRun struct {
+	Result
+	e         *Engine
+	parent    obs.SpanID
+	done      sim.Signal
+	remaining int // active paths not yet final
+	firstErr  error
+	paths     []pathRun
+}
+
+// pathRun is one active path of an eager execution and the handler of
+// every callback the path needs, so a path costs this record instead of a
+// closure per callback.
+type pathRun struct {
+	run   *execRun
+	idx   int // index into Plan.Paths
+	pp    *core.PathPlan
+	final sim.Signal
+	trace *pathTrace // set only with a tracer attached
+
+	last   *sim.Signal // the copy whose completion completes the path
+	buf    interface{ Free() error }
+	chunks []chunkSigs
+}
+
+// pathTrace is a traced path's span, track and chunk sizes.
+type pathTrace struct {
+	span  obs.SpanID
+	trk   string
+	sizes []float64
+}
+
+// chunkSigs holds one staged chunk's leg completions until they are
+// watched, and the event its ring slot is drained at.
+type chunkSigs struct {
+	up, down *sim.Signal
+	drained  cuda.Event
+}
+
+// pathRun handler arguments: chunk index << pathShift | stage.
+const pathShift = 4
+
+const (
+	pStart      = iota // the path's (possibly offset) initiation
+	pRecord            // final fired: record completion time and error
+	pGate              // final fired: count it toward the whole transfer
+	pSpanEnd           // final fired: close the path's trace span
+	pFree              // final fired: free the staging buffer
+	pLast              // the last copy completed: complete the path
+	pWatchUp           // a chunk's first leg completed
+	pWatchDown         // a chunk's second leg completed
+	pTraceChunk        // a chunk landed: trace it
+)
+
 // ExecuteSpan is Execute with an explicit trace parent: per-path execution
 // spans are parented under the caller's span (typically a transfer or
 // attempt span). With no tracer attached it behaves exactly like Execute.
@@ -145,93 +217,131 @@ func (e *Engine) ExecuteSpan(plan *core.Plan, parent obs.SpanID) (*Result, error
 	if err := validatePlan(plan); err != nil {
 		return nil, err
 	}
+	active := 0
+	for i := range plan.Paths {
+		if plan.Paths[i].Bytes > 0 {
+			active++
+		}
+	}
+	if active == 0 {
+		return nil, fmt.Errorf("pipeline: plan has no active paths")
+	}
 	s := e.rt.Sim()
-	res := &Result{
-		Plan:     plan,
-		Started:  s.Now(),
-		PathDone: make([]sim.Time, len(plan.Paths)),
-		PathErr:  make([]error, len(plan.Paths)),
-	}
-	for i := range res.PathDone {
-		res.PathDone[i] = -1
-	}
-
-	var finals []*sim.Signal
+	run := &execRun{Result: newResult(plan, s.Now()), e: e, parent: parent, remaining: active}
+	run.done.Init(s)
+	run.Done = &run.done
+	run.paths = make([]pathRun, 0, active)
 	offset := 0.0
 	for i := range plan.Paths {
 		pp := &plan.Paths[i]
 		if pp.Bytes <= 0 {
 			continue
 		}
-		idx := i
-		final := s.NewSignal()
-		final.OnFire(func() {
-			res.PathDone[idx] = s.Now()
-			res.PathErr[idx] = final.Err()
-		})
-		finals = append(finals, final)
-
-		start := func(pp *core.PathPlan, final *sim.Signal) func() {
-			return func() {
-				if e.tr != nil {
-					sp := e.tr.Begin("path:"+pp.Path.String(), "path", pp.Path.Kind.String(), parent,
-						obs.KVf("bytes", pp.Bytes), obs.KVi("chunks", int64(pp.Chunks)))
-					final.OnFire(func() {
-						if err := final.Err(); err != nil {
-							e.tr.EndWith(sp, obs.KV("outcome", "error"), obs.KV("error", err.Error()))
-							return
-						}
-						e.tr.EndWith(sp, obs.KV("outcome", "ok"))
-					})
-				}
-				if err := e.startPath(pp, final); err != nil {
-					final.Fail(err)
-				}
-			}
-		}(pp, final)
-
+		run.paths = append(run.paths, pathRun{run: run, idx: i, pp: pp})
+		p := &run.paths[len(run.paths)-1]
+		p.final.Init(s)
+		p.final.OnFireHandler(p, pRecord)
 		if e.cfg.SequentialInitiation {
-			s.Schedule(offset, start)
+			s.ScheduleHandler(offset, p, pStart)
 			offset += pp.Param.Legs[0].Alpha
 		} else {
-			s.Schedule(0, start)
+			s.ScheduleHandler(0, p, pStart)
 		}
 	}
-	if len(finals) == 0 {
-		return nil, fmt.Errorf("pipeline: plan has no active paths")
+	for i := range run.paths {
+		run.paths[i].final.OnFireHandler(&run.paths[i], pGate)
 	}
-	res.Done = sim.AllOf(s, finals...)
-	return res, nil
+	return &run.Result, nil
 }
 
-// startPath launches the per-path schedule; final fires when the path's
-// last chunk reaches the destination.
-func (e *Engine) startPath(pp *core.PathPlan, final *sim.Signal) error {
-	switch pp.Path.Kind {
-	case hw.Direct:
-		return e.startDirect(pp, final)
-	case hw.GPUStaged:
-		return e.startGPUStaged(pp, final)
-	case hw.HostStaged:
-		return e.startHostStaged(pp, final)
-	default:
-		return fmt.Errorf("pipeline: unknown path kind %v", pp.Path.Kind)
-	}
-}
-
-func (e *Engine) startDirect(pp *core.PathPlan, final *sim.Signal) error {
-	src := e.rt.Device(pp.Path.Src)
-	dst := e.rt.Device(pp.Path.Dst)
-	st := src.NewStream("direct")
-	sig := st.MemcpyPeerAsync(dst, pp.Bytes)
-	sig.OnFire(func() {
-		if sig.Err() != nil {
-			final.Fail(sig.Err())
+// Handle runs one of the path's callbacks.
+func (p *pathRun) Handle(arg int) {
+	c, stage := arg>>pathShift, arg&(1<<pathShift-1)
+	e := p.run.e
+	switch stage {
+	case pStart:
+		if e.tr != nil {
+			p.trace = &pathTrace{trk: "path:" + p.pp.Path.String()}
+			p.trace.span = e.tr.Begin(p.trace.trk, "path", p.pp.Path.Kind.String(), p.run.parent,
+				obs.KVf("bytes", p.pp.Bytes), obs.KVi("chunks", int64(p.pp.Chunks)))
+			p.final.OnFireHandler(p, pSpanEnd)
+		}
+		if err := e.startPath(p); err != nil {
+			p.final.Fail(err)
+		}
+	case pRecord:
+		p.run.PathDone[p.idx] = e.rt.Sim().Now()
+		p.run.PathErr[p.idx] = p.final.Err()
+	case pGate:
+		r := p.run
+		if err := p.final.Err(); r.firstErr == nil && err != nil {
+			r.firstErr = err
+		}
+		r.remaining--
+		if r.remaining == 0 {
+			if r.firstErr != nil {
+				r.done.Fail(r.firstErr)
+				return
+			}
+			r.done.Fire()
+		}
+	case pSpanEnd:
+		if err := p.final.Err(); err != nil {
+			e.tr.EndWith(p.trace.span, obs.KV("outcome", "error"), obs.KV("error", err.Error()))
 			return
 		}
-		final.Fire()
-	})
-	return nil
+		e.tr.EndWith(p.trace.span, obs.KV("outcome", "ok"))
+	case pFree:
+		_ = p.buf.Free()
+		p.buf = nil
+	case pLast:
+		err := p.last.Err()
+		p.last = nil
+		if err != nil {
+			p.final.Fail(err)
+			return
+		}
+		p.final.Fire()
+	case pWatchUp, pWatchDown:
+		// Any chunk copy failing on either leg fails the path: the
+		// simulator has no notion of the data a chunk carried, so a lost
+		// first-leg chunk cannot be silently "made up" by the second leg
+		// completing.
+		ch := &p.chunks[c]
+		sig := ch.up
+		if stage == pWatchUp {
+			ch.up = nil
+		} else if sig = ch.down; e.tr == nil {
+			ch.down = nil // else the trace callback still reads it
+		}
+		if err := sig.Err(); err != nil {
+			p.final.Fail(err)
+		}
+	case pTraceChunk:
+		down := p.chunks[c].down
+		p.chunks[c].down = nil
+		if down.Err() == nil {
+			e.tr.Instant(p.trace.trk, "chunk", "chunk-done",
+				obs.KVi("index", int64(c)), obs.KVf("bytes", p.trace.sizes[c]))
+		}
+	}
+}
+
+// startPath launches the per-path schedule; p.final fires when the path's
+// last chunk reaches the destination.
+func (e *Engine) startPath(p *pathRun) error {
+	switch p.pp.Path.Kind {
+	case hw.Direct:
+		src := e.rt.Device(p.pp.Path.Src)
+		dst := e.rt.Device(p.pp.Path.Dst)
+		p.last = src.NewStream("direct").MemcpyPeerAsync(dst, p.pp.Bytes)
+		p.last.OnFireHandler(p, pLast)
+		return nil
+	case hw.GPUStaged, hw.HostStaged:
+		return e.startStaged(p)
+	default:
+		return fmt.Errorf("pipeline: unknown path kind %v", p.pp.Path.Kind)
+	}
 }
 
 // chunkSizes splits bytes into k near-equal pieces; it is the engine's
@@ -240,114 +350,94 @@ func chunkSizes(bytes float64, k int) []float64 {
 	return SplitChunks(bytes, k)
 }
 
+// startStaged allocates the staging ring (on the intermediate GPU or in
+// host memory), opens the path's two streams and wires the chunk pipeline.
+func (e *Engine) startStaged(p *pathRun) error {
+	pp := p.pp
+	src := e.rt.Device(pp.Path.Src)
+	chunk := pp.Bytes / float64(pp.Chunks)
+	slots := e.cfg.StagingSlots
+	if pp.Chunks < slots {
+		slots = pp.Chunks
+	}
+	var s1, s2 *cuda.Stream
+	if pp.Path.Kind == hw.GPUStaged {
+		via := e.rt.Device(pp.Path.Via)
+		buf, err := via.Malloc(chunk * float64(slots))
+		if err != nil {
+			return fmt.Errorf("pipeline: staging alloc on GPU %d: %w", via.ID(), err)
+		}
+		p.buf = buf
+		s1 = src.NewStream("stage-up")
+		s2 = via.NewStream("stage-down")
+	} else {
+		numa := pp.Path.Via
+		buf, err := e.rt.Host(numa).MallocHost(chunk * float64(slots))
+		if err != nil {
+			return fmt.Errorf("pipeline: host staging alloc on NUMA %d: %w", numa, err)
+		}
+		p.buf = buf
+		s1 = src.NewStream("host-up")
+		s2 = e.rt.Device(pp.Path.Dst).NewStream("host-down")
+	}
+	e.stagedLegs(p, s1, s2)
+	p.final.OnFireHandler(p, pFree)
+	return nil
+}
+
+// leg enqueues one chunk's first (up) or second leg on st.
+func (p *pathRun) leg(up bool, st *cuda.Stream, bytes float64) *sim.Signal {
+	path := p.pp.Path
+	rt := p.run.e.rt
+	switch {
+	case path.Kind == hw.GPUStaged && up:
+		return st.MemcpyPeerAsync(rt.Device(path.Via), bytes)
+	case path.Kind == hw.GPUStaged:
+		return st.MemcpyPeerAsync(rt.Device(path.Dst), bytes)
+	case up:
+		return st.MemcpyToHostAsync(path.Via, bytes)
+	default:
+		return st.MemcpyFromHostAsync(path.Via, bytes)
+	}
+}
+
 // stagedLegs wires the three-step chunk pipeline between two streams with
-// the ring-buffer constraint and fires final when the last chunk lands.
-func (e *Engine) stagedLegs(
-	leg1 func(st *cuda.Stream, bytes float64) *sim.Signal,
-	leg2 func(st *cuda.Stream, bytes float64) *sim.Signal,
-	s1, s2 *cuda.Stream,
-	pp *core.PathPlan,
-	final *sim.Signal,
-) {
+// the ring-buffer constraint and completes the path when the last chunk
+// lands.
+func (e *Engine) stagedLegs(p *pathRun, s1, s2 *cuda.Stream) {
+	pp := p.pp
 	sizes := chunkSizes(pp.Bytes, pp.Chunks)
 	eps := pp.Param.Eps
 	slots := e.cfg.StagingSlots
-	drained := make([]*cuda.Event, len(sizes))
-	// Any chunk copy failing on either leg fails the path: the simulator
-	// has no notion of the data a chunk carried, so a lost first-leg chunk
-	// cannot be silently "made up" by the second leg completing.
-	watch := func(sig *sim.Signal) {
-		sig.OnFire(func() {
-			if sig.Err() != nil {
-				final.Fail(sig.Err())
-			}
-		})
+	p.chunks = make([]chunkSigs, len(sizes))
+	if e.tr != nil {
+		p.trace.sizes = sizes
 	}
-	trk := "path:" + pp.Path.String()
-	var last *sim.Signal
 	for c, sz := range sizes {
+		ch := &p.chunks[c]
 		// Ring buffer: reuse slot c mod slots — wait until the chunk that
 		// previously occupied it has been drained by the second leg.
 		if c >= slots {
-			s1.WaitEvent(drained[c-slots])
+			s1.WaitEvent(p.chunks[c-slots].drained)
 		}
-		watch(leg1(s1, sz))
-		ev := s1.RecordEvent()
-		s2.WaitEvent(ev)
+		ch.up = p.leg(true, s1, sz)
+		ch.up.OnFireHandler(p, c<<pathShift|pWatchUp)
+		s2.WaitEvent(s1.RecordEvent())
 		if eps > 0 {
 			s2.Delay(eps) // step 2: staging synchronization cost ε
 		}
-		down := leg2(s2, sz)
+		ch.down = p.leg(false, s2, sz)
 		if c < len(sizes)-1 {
-			watch(down)
+			ch.down.OnFireHandler(p, c<<pathShift|pWatchDown)
 		}
 		if e.tr != nil {
-			down.OnFire(func() {
-				if down.Err() == nil {
-					e.tr.Instant(trk, "chunk", "chunk-done",
-						obs.KVi("index", int64(c)), obs.KVf("bytes", sz))
-				}
-			})
+			ch.down.OnFireHandler(p, c<<pathShift|pTraceChunk)
 		}
-		drained[c] = s2.RecordEvent()
-		last = down
+		ch.drained = s2.RecordEvent()
 	}
-	last.OnFire(func() {
-		if last.Err() != nil {
-			final.Fail(last.Err())
-			return
-		}
-		final.Fire()
-	})
-}
-
-func (e *Engine) startGPUStaged(pp *core.PathPlan, final *sim.Signal) error {
-	src := e.rt.Device(pp.Path.Src)
-	via := e.rt.Device(pp.Path.Via)
-	dst := e.rt.Device(pp.Path.Dst)
-
-	// Staging ring buffer on the intermediate GPU.
-	chunk := pp.Bytes / float64(pp.Chunks)
-	slots := e.cfg.StagingSlots
-	if pp.Chunks < slots {
-		slots = pp.Chunks
+	p.last = p.chunks[len(sizes)-1].down
+	p.last.OnFireHandler(p, pLast)
+	for c := range p.chunks {
+		p.chunks[c].drained = cuda.Event{}
 	}
-	buf, err := via.Malloc(chunk * float64(slots))
-	if err != nil {
-		return fmt.Errorf("pipeline: staging alloc on GPU %d: %w", via.ID(), err)
-	}
-	s1 := src.NewStream("stage-up")
-	s2 := via.NewStream("stage-down")
-	e.stagedLegs(
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyPeerAsync(via, b) },
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyPeerAsync(dst, b) },
-		s1, s2, pp, final,
-	)
-	final.OnFire(func() { _ = buf.Free() })
-	return nil
-}
-
-func (e *Engine) startHostStaged(pp *core.PathPlan, final *sim.Signal) error {
-	src := e.rt.Device(pp.Path.Src)
-	dst := e.rt.Device(pp.Path.Dst)
-	numa := pp.Path.Via
-
-	chunk := pp.Bytes / float64(pp.Chunks)
-	slots := e.cfg.StagingSlots
-	if pp.Chunks < slots {
-		slots = pp.Chunks
-	}
-	buf, err := e.rt.Host(numa).MallocHost(chunk * float64(slots))
-	if err != nil {
-		return fmt.Errorf("pipeline: host staging alloc on NUMA %d: %w", numa, err)
-	}
-	s1 := src.NewStream("host-up")
-	s2 := dst.NewStream("host-down")
-	e.stagedLegs(
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyToHostAsync(numa, b) },
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyFromHostAsync(numa, b) },
-		s1, s2, pp, final,
-	)
-	final.OnFire(func() { _ = buf.Free() })
-	return nil
 }

@@ -17,7 +17,7 @@ func almost(t *testing.T, got, want, tol float64, msg string) {
 	}
 }
 
-func syntheticEngine(t *testing.T, cfg Config) (*sim.Simulator, *Engine) {
+func syntheticEngine(t testing.TB, cfg Config) (*sim.Simulator, *Engine) {
 	t.Helper()
 	s := sim.New()
 	node, err := hw.Build(s, hw.Synthetic())

@@ -151,6 +151,37 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestReloadRejectsNUMASplitWithoutInter checks that a PUT of a topology
+// whose NVLink peers sit in two NUMA domains with no Inter link between
+// them answers malformed_spec. Such a spec used to load, and the next
+// host-staged plan for the pair panicked the daemon. The tenant keeps
+// planning on its previous topology.
+func TestReloadRejectsNUMASplitWithoutInter(t *testing.T) {
+	_, hts := newTestServer(t, "narval")
+	sp := hw.Narval()
+	sp.Inter = map[hw.Pair]hw.LinkProps{}
+	var spec bytes.Buffer
+	if err := sp.WriteJSON(&spec); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := doJSON(t, hts.Client(), "PUT", hts.URL+"/v1/clusters/narval", nil, spec.String())
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, http.StatusBadRequest, body)
+	}
+	var env v1.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("not an error envelope: %s", body)
+	}
+	if env.Error.Code != v1.ErrCodeMalformedSpec {
+		t.Fatalf("code = %q, want %q (%s)", env.Error.Code, v1.ErrCodeMalformedSpec, env.Error.Message)
+	}
+	resp, body = doJSON(t, hts.Client(), "POST", hts.URL+"/v1/plan", nil,
+		`{"cluster":"narval","src":0,"dst":3,"bytes":67108864,"pathset":"all"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("host-path plan after the refused reload: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestPlanAndBatchHappyPath exercises the success contract: single plans,
 // compact batches, and detail batches all agree on the prediction.
 func TestPlanAndBatchHappyPath(t *testing.T) {

@@ -8,8 +8,13 @@ func TestPendingCounter(t *testing.T) {
 	s := New()
 	brute := func() int {
 		n := 0
-		for _, ev := range s.queue {
-			if !ev.canceled {
+		for _, e := range s.queue {
+			if !s.events[e.slot].canceled {
+				n++
+			}
+		}
+		for _, slot := range s.fifo[s.head:] {
+			if !s.events[slot].canceled {
 				n++
 			}
 		}
@@ -253,5 +258,49 @@ func BenchmarkCancelRescheduleChurn(b *testing.B) {
 		j := i % live
 		handles[j].Cancel()
 		handles[j] = s.Schedule(1e9, fn)
+	}
+}
+
+// fireIdx fires sigs[i] from an event without allocating a closure.
+type fireIdx []*Signal
+
+func (f *fireIdx) Handle(i int) { (*f)[i].Fire() }
+
+// TestProcWaitAndSleepAllocFree checks that blocking a process on a timer
+// or a signal, and resuming it, allocates nothing once the event arena is
+// warm.
+func TestProcWaitAndSleepAllocFree(t *testing.T) {
+	s := New()
+	var sleepAllocs, waitAllocs, firedAllocs float64
+	const runs = 100
+	sigs := make([]*Signal, runs+1)
+	for i := range sigs {
+		sigs[i] = s.NewSignal()
+	}
+	fire := fireIdx(sigs)
+	done := s.NewSignal()
+	done.Fire()
+	s.Spawn("p", func(p *Proc) {
+		p.Sleep(1) // warm the arena and the FIFO
+		sleepAllocs = testing.AllocsPerRun(runs, func() { p.Sleep(1) })
+		i := 0
+		waitAllocs = testing.AllocsPerRun(runs, func() {
+			s.ScheduleHandler(1, &fire, i)
+			if err := p.Wait(sigs[i]); err != nil {
+				t.Error(err)
+			}
+			i++
+		})
+		firedAllocs = testing.AllocsPerRun(runs, func() {
+			if err := p.Wait(done); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sleepAllocs != 0 || waitAllocs != 0 || firedAllocs != 0 {
+		t.Fatalf("allocs per op: Sleep %.1f, Wait %.1f, Wait on fired %.1f; want 0", sleepAllocs, waitAllocs, firedAllocs)
 	}
 }

@@ -12,9 +12,16 @@ type Proc struct {
 	sim    *Simulator
 	resume chan struct{}
 	yield  chan struct{}
-	done   *Signal
+	done   Signal
 	name   string
 }
+
+// waker is the Handler form of a Proc: every wakeup (spawn, timer, signal)
+// hands control to the process goroutine. The conversion from *Proc is
+// free, so Sleep and Wait allocate nothing.
+type waker Proc
+
+func (w *waker) Handle(int) { (*Proc)(w).step() }
 
 // Spawn starts a new simulated process executing body. The process begins
 // at the current virtual instant (as a zero-delay event). The returned
@@ -27,9 +34,9 @@ func (s *Simulator) Spawn(name string, body func(p *Proc)) *Signal {
 		sim:    s,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
-		done:   s.NewSignal(),
 		name:   name,
 	}
+	p.done.Init(s)
 	s.procs++
 	go func() {
 		<-p.resume // wait for first scheduling
@@ -43,8 +50,8 @@ func (s *Simulator) Spawn(name string, body func(p *Proc)) *Signal {
 		}()
 		body(p)
 	}()
-	s.Schedule(0, func() { p.step() })
-	return p.done
+	s.ScheduleHandler(0, (*waker)(p), 0)
+	return &p.done
 }
 
 // step transfers control to the process goroutine and blocks until it
@@ -72,7 +79,7 @@ func (p *Proc) Name() string { return p.name }
 
 // Sleep suspends the process for d units of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	p.sim.Schedule(d, func() { p.step() })
+	p.sim.ScheduleHandler(d, (*waker)(p), 0)
 	p.suspend()
 }
 
@@ -82,7 +89,7 @@ func (p *Proc) Sleep(d Duration) {
 // so event ordering stays consistent).
 func (p *Proc) Wait(g *Signal) error {
 	p.sim.blocked++
-	g.OnFire(func() { p.step() })
+	g.OnFireHandler((*waker)(p), 0)
 	p.suspend()
 	p.sim.blocked--
 	return g.Err()

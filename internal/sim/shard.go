@@ -2,7 +2,7 @@
 // synchronization and a deterministic merge.
 //
 // A Cluster couples several Simulators — shards — into one virtual-time
-// domain. Each shard owns its own event queue, free-list pool, and clock,
+// domain. Each shard owns its own event queue, event arena, and clock,
 // and is only ever touched by one goroutine at a time, so everything the
 // sequential kernel guarantees (determinism, pooled zero-alloc
 // scheduling, handle-generation ABA safety) holds per shard unchanged.

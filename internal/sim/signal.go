@@ -5,23 +5,36 @@ package sim
 // an already-fired signal completes immediately. Signals are the basic
 // synchronization primitive connecting simulated activities (copies,
 // messages) to the processes that wait for them.
+//
+// A Signal may be embedded by value in the record that owns it (a flow, a
+// stream operation, a process) and initialized with Init; the owner then
+// hands out a pointer to the embedded field. Such records are never
+// recycled, so a *Signal stays valid for as long as anyone holds it.
 type Signal struct {
 	sim     *Simulator
-	fired   bool
 	firedAt Time
+	fired   bool
 	// first is the first registered waiter, held inline so the common
-	// one-waiter signal registers without allocating; waiters holds the
-	// rest, in registration order.
-	first    func()
-	waiters  []func()
-	payload  any
-	failedAt error
+	// one-waiter signal registers without allocating; rest holds the
+	// others, in registration order.
+	first waiter
+	rest  []waiter
+	err   error
+}
+
+// waiter is one registered callback.
+type waiter struct {
+	h   Handler
+	arg int
 }
 
 // NewSignal creates an unfired signal bound to s.
 func (s *Simulator) NewSignal() *Signal {
 	return &Signal{sim: s}
 }
+
+// Init binds a zero Signal (typically one embedded in its owner) to s.
+func (g *Signal) Init(s *Simulator) { g.sim = s }
 
 // Fired reports whether the signal has fired.
 func (g *Signal) Fired() bool { return g.fired }
@@ -30,31 +43,25 @@ func (g *Signal) Fired() bool { return g.fired }
 // It is meaningful only when Fired is true.
 func (g *Signal) FiredAt() Time { return g.firedAt }
 
-// Value returns the payload attached via FireValue, or nil.
-func (g *Signal) Value() any { return g.payload }
-
 // Err returns the error attached via Fail, or nil.
-func (g *Signal) Err() error { return g.failedAt }
+func (g *Signal) Err() error { return g.err }
 
 // Fire marks the signal complete at the current virtual time and schedules
-// all waiters to run at this instant. Firing twice is a no-op.
-func (g *Signal) Fire() { g.FireValue(nil) }
-
-// FireValue fires the signal with an attached payload.
-func (g *Signal) FireValue(v any) {
+// all waiters to run at this instant, in registration order. Firing twice
+// is a no-op.
+func (g *Signal) Fire() {
 	if g.fired {
 		return
 	}
 	g.fired = true
 	g.firedAt = g.sim.Now()
-	g.payload = v
-	first, rest := g.first, g.waiters
-	g.first, g.waiters = nil, nil
-	if first != nil {
-		g.sim.Schedule(0, first)
+	first, rest := g.first, g.rest
+	g.first, g.rest = waiter{}, nil
+	if first.h != nil {
+		g.sim.ScheduleHandler(0, first.h, first.arg)
 	}
 	for _, w := range rest {
-		g.sim.Schedule(0, w)
+		g.sim.ScheduleHandler(0, w.h, w.arg)
 	}
 }
 
@@ -64,66 +71,76 @@ func (g *Signal) Fail(err error) {
 	if g.fired {
 		return
 	}
-	g.failedAt = err
-	g.FireValue(nil)
+	g.err = err
+	g.Fire()
 }
 
 // OnFire registers fn to run when the signal fires; waiters run in
 // registration order. If the signal already fired, fn is scheduled to run
 // at the current instant.
-func (g *Signal) OnFire(fn func()) {
+func (g *Signal) OnFire(fn func()) { g.OnFireHandler(funcHandler(fn), 0) }
+
+// OnFireHandler is OnFire in closure-free form: h.Handle(arg) runs when
+// the signal fires.
+func (g *Signal) OnFireHandler(h Handler, arg int) {
 	switch {
 	case g.fired:
-		g.sim.Schedule(0, fn)
-	case g.first == nil:
-		g.first = fn
+		g.sim.ScheduleHandler(0, h, arg)
+	case g.first.h == nil:
+		g.first = waiter{h, arg}
+	case g.rest == nil:
+		// Signals that collect a second waiter usually collect a third
+		// (a stream's next operation and an event wait on another stream).
+		g.rest = make([]waiter, 1, 2)
+		g.rest[0] = waiter{h, arg}
 	default:
-		g.waiters = append(g.waiters, fn)
+		g.rest = append(g.rest, waiter{h, arg})
 	}
 }
 
-// AllOf returns a signal that fires once every input signal has fired.
-// With no inputs the result fires immediately upon first event processing.
+// allOf is the record behind AllOf: one waiter per input, no closures.
+type allOf struct {
+	out       Signal
+	inputs    []*Signal
+	remaining int
+	firstErr  error
+}
+
+// AllOf returns a signal that fires once every input signal has fired,
+// failing with the first input error in firing order. With no inputs the
+// result fires immediately upon first event processing.
 func AllOf(s *Simulator, signals ...*Signal) *Signal {
-	out := s.NewSignal()
-	remaining := len(signals)
-	if remaining == 0 {
+	a := &allOf{remaining: len(signals)}
+	a.out.Init(s)
+	if len(signals) == 0 {
 		// Fire on next dispatch so callers can register waiters first.
-		s.Schedule(0, out.Fire)
-		return out
+		s.ScheduleHandler(0, a, -1)
+		return &a.out
 	}
-	var firstErr error
-	for _, g := range signals {
-		g := g
-		g.OnFire(func() {
-			if firstErr == nil && g.Err() != nil {
-				firstErr = g.Err()
-			}
-			remaining--
-			if remaining == 0 {
-				if firstErr != nil {
-					out.Fail(firstErr)
-				} else {
-					out.Fire()
-				}
-			}
-		})
+	a.inputs = append([]*Signal(nil), signals...)
+	for i, g := range a.inputs {
+		g.OnFireHandler(a, i)
 	}
-	return out
+	return &a.out
 }
 
-// AnyOf returns a signal that fires as soon as any input signal fires.
-func AnyOf(s *Simulator, signals ...*Signal) *Signal {
-	out := s.NewSignal()
-	for _, g := range signals {
-		g := g
-		g.OnFire(func() {
-			if g.Err() != nil {
-				out.Fail(g.Err())
-			} else {
-				out.FireValue(g.Value())
-			}
-		})
+// Handle counts one fired input (arg is its index; -1 fires an empty
+// AllOf).
+func (a *allOf) Handle(i int) {
+	if i < 0 {
+		a.out.Fire()
+		return
 	}
-	return out
+	if err := a.inputs[i].Err(); a.firstErr == nil && err != nil {
+		a.firstErr = err
+	}
+	a.remaining--
+	if a.remaining == 0 {
+		a.inputs = nil
+		if a.firstErr != nil {
+			a.out.Fail(a.firstErr)
+			return
+		}
+		a.out.Fire()
+	}
 }

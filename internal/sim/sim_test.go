@@ -311,22 +311,6 @@ func TestAllOfPropagatesError(t *testing.T) {
 	}
 }
 
-func TestAnyOf(t *testing.T) {
-	s := New()
-	a, b := s.NewSignal(), s.NewSignal()
-	any := AnyOf(s, a, b)
-	var at Time = -1
-	any.OnFire(func() { at = s.Now() })
-	s.Schedule(4, a.Fire)
-	s.Schedule(2, b.Fire)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 2.0 {
-		t.Fatalf("AnyOf fired at %v, want 2.0", at)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
 	sig := s.NewSignal() // never fired

@@ -81,14 +81,73 @@ type mpRun struct {
 	feeders []*mpFeeder
 	lastErr error // most recent retryable failure, for the final report
 
-	release func()           // inflight accounting; called exactly once, before Done fires
-	onPlan  func(*core.Plan) // observes each attempt's plan (diagnostics)
+	// ep, when set, records each attempt's plan as its LastPlan (Put);
+	// req.Plan always does.
+	ep *Endpoint
+	// inflight marks a run counted in the context's in-flight pairs; the
+	// count is released exactly once, before Done fires.
+	inflight bool
+
+	// first is the plan the run begins with once its setup has elapsed.
+	first *core.Plan
+	// att is the whole-residual attempt in flight (at most one).
+	att struct {
+		pl  *core.Plan
+		res *pipeline.Result
+		sp  obs.SpanID
+	}
+	backoffSpan obs.SpanID
 
 	// span is the transfer's root trace span and trk its trace track
 	// (NoSpan/"" when tracing is off); attempt, backoff, and failover
 	// events nest under it.
 	span obs.SpanID
 	trk  string
+}
+
+// mpRun handler arguments.
+const (
+	mpBegin        = iota // setup elapsed: launch the first plan
+	mpAttemptDone         // the whole-residual attempt in flight completed
+	mpRetryAttempt        // backoff elapsed: re-plan and retry an attempt
+	mpRetryFeeders        // backoff elapsed: re-plan and respawn feeders
+)
+
+// Handle runs the run's scheduled work and attempt completions.
+func (r *mpRun) Handle(stage int) {
+	switch stage {
+	case mpBegin:
+		pl := r.first
+		r.first = nil
+		r.begin(pl)
+	case mpAttemptDone:
+		a := r.att
+		r.att.pl, r.att.res = nil, nil
+		if tr := r.c.tracer; tr != nil {
+			if aerr := a.res.Done.Err(); aerr != nil {
+				tr.EndWith(a.sp, obs.KV("outcome", "error"), obs.KV("error", aerr.Error()))
+			} else {
+				tr.EndWith(a.sp, obs.KV("outcome", "ok"))
+			}
+		}
+		r.onAttemptResult(a.pl, a.res)
+	default: // mpRetryAttempt, mpRetryFeeders
+		r.c.tracer.End(r.backoffSpan)
+		r.paused = false
+		if r.done {
+			return
+		}
+		pl, err := r.plan(r.pool())
+		if err != nil {
+			r.finish(err)
+			return
+		}
+		if stage == mpRetryAttempt {
+			r.startAttempt(pl)
+			return
+		}
+		r.spawnFeeders(pl)
+	}
 }
 
 // mpFeeder pulls chunks from the pool onto one path.
@@ -134,8 +193,9 @@ func (r *mpRun) plan(n float64) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.onPlan != nil {
-		r.onPlan(pl)
+	r.req.Plan = pl
+	if r.ep != nil {
+		r.ep.plan = pl
 	}
 	return pl, nil
 }
@@ -165,16 +225,8 @@ func (r *mpRun) startAttempt(pl *core.Plan) {
 		return
 	}
 	r.outstanding += pl.Bytes
-	res.Done.OnFire(func() {
-		if tr := r.c.tracer; tr != nil {
-			if aerr := res.Done.Err(); aerr != nil {
-				tr.EndWith(sp, obs.KV("outcome", "error"), obs.KV("error", aerr.Error()))
-			} else {
-				tr.EndWith(sp, obs.KV("outcome", "ok"))
-			}
-		}
-		r.onAttemptResult(pl, res)
-	})
+	r.att.pl, r.att.res, r.att.sp = pl, res, sp
+	res.Done.OnFireHandler(r, mpAttemptDone)
 }
 
 // onAttemptResult handles a whole-residual attempt's outcome: feed the
@@ -242,14 +294,7 @@ func (r *mpRun) onAttemptResult(pl *core.Plan, res *pipeline.Result) {
 	}
 	r.attempt++
 	r.noteFailover(newExcl)
-	r.backoffThen(func() {
-		nxt, err := r.plan(r.pool())
-		if err != nil {
-			r.finish(err)
-			return
-		}
-		r.startAttempt(nxt)
-	})
+	r.backoffThen(mpRetryAttempt)
 }
 
 // exclude records a failed path; reports whether it is newly excluded.
@@ -284,9 +329,9 @@ func (r *mpRun) noteFailover(newExcl int) {
 	r.c.invalidateGraphsFor(r.excluded)
 }
 
-// backoffThen schedules fn after the capped exponential backoff for the
-// current attempt, pausing launches until it runs.
-func (r *mpRun) backoffThen(fn func()) {
+// backoffThen schedules the retry stage after the capped exponential
+// backoff for the current attempt, pausing launches until it runs.
+func (r *mpRun) backoffThen(stage int) {
 	c := r.c
 	backoff := c.cfg.FailoverBackoff
 	for a := 1; a < r.attempt; a++ {
@@ -301,13 +346,8 @@ func (r *mpRun) backoffThen(fn func()) {
 			obs.KVf("delay_s", backoff), obs.KVi("attempt", int64(r.attempt)))
 	}
 	r.paused = true
-	c.rt.Sim().Schedule(backoff, func() {
-		c.tracer.End(sp)
-		r.paused = false
-		if !r.done {
-			fn()
-		}
-	})
+	r.backoffSpan = sp
+	c.rt.Sim().ScheduleHandler(backoff, r, stage)
 }
 
 // spawnFeeders starts chunk-pool execution over the attempt plan's paths.
@@ -399,11 +439,7 @@ func (f *mpFeeder) pump() {
 		if f.inflight > 0 && !f.primed {
 			if !f.ticking && f.lastDur > 0 {
 				f.ticking = true
-				r.c.rt.Sim().Schedule(0.5*f.lastDur, func() {
-					f.ticking = false
-					f.primed = true
-					f.pump()
-				})
+				r.c.rt.Sim().ScheduleHandler(0.5*f.lastDur, f, 0)
 			}
 			return
 		}
@@ -414,7 +450,9 @@ func (f *mpFeeder) pump() {
 		if f.rate > 0 {
 			f.lastDur = n / f.rate
 		}
-		pp := f.tmpl
+		ch := &feederChunk{f: f, n: n}
+		ch.path[0] = f.tmpl
+		pp := &ch.path[0]
 		pp.Bytes = n
 		// Keep the planner's inner chunk size, not its inner chunk count:
 		// a small pool chunk re-split into the template's full count would
@@ -426,8 +464,8 @@ func (f *mpFeeder) pump() {
 		if pp.Chunks < 1 {
 			pp.Chunks = 1
 		}
-		pl := &core.Plan{Src: r.src, Dst: r.dst, Bytes: n, Paths: []core.PathPlan{pp}}
-		res, err := r.c.execChunk(f, pl, r.span)
+		ch.plan = core.Plan{Src: r.src, Dst: r.dst, Bytes: n, Paths: ch.path[:]}
+		res, err := r.c.execChunk(f, &ch.plan, r.span)
 		if err != nil {
 			r.finish(err)
 			return
@@ -435,9 +473,29 @@ func (f *mpFeeder) pump() {
 		f.inflight++
 		f.queued += n
 		r.outstanding += n
-		res.Done.OnFire(func() { f.onChunk(n, res) })
+		ch.res = res
+		res.Done.OnFireHandler(ch, 0)
 	}
 }
+
+// Handle ends the priming delay: the feeder's window may now fill.
+func (f *mpFeeder) Handle(int) {
+	f.ticking = false
+	f.primed = true
+	f.pump()
+}
+
+// feederChunk is one pool chunk in flight: its one-path plan and the
+// handler of its completion, in a single record.
+type feederChunk struct {
+	f    *mpFeeder
+	n    float64
+	res  *pipeline.Result
+	plan core.Plan
+	path [1]core.PathPlan
+}
+
+func (ch *feederChunk) Handle(int) { ch.f.onChunk(ch.n, ch.res) }
 
 // onChunk handles one chunk's outcome. Successful chunks advance the pool;
 // a retryable failure kills the feeder and returns its bytes to the pool,
@@ -527,14 +585,7 @@ func (r *mpRun) settleChunks() {
 		return
 	}
 	r.attempt++
-	r.backoffThen(func() {
-		pl, perr := r.plan(r.pool())
-		if perr != nil {
-			r.finish(perr)
-			return
-		}
-		r.spawnFeeders(pl)
-	})
+	r.backoffThen(mpRetryFeeders)
 }
 
 // replanLive re-plans an in-flight chunk-pool transfer against current link
@@ -581,8 +632,8 @@ func (r *mpRun) finish(err error) {
 	for _, f := range r.feeders {
 		f.releaseGraph()
 	}
-	if r.release != nil {
-		r.release()
+	if r.inflight {
+		r.c.releaseInflight(r.src, r.dst)
 	}
 	if err != nil {
 		r.req.Done.Fail(fmt.Errorf("ucx: multi-path transfer %d->%d: %w", r.src, r.dst, err))
@@ -601,12 +652,10 @@ func (c *Context) StartTransfer(src, dst int, bytes float64, sel hw.PathSet) (*R
 		return nil, fmt.Errorf("ucx: transfer of %v bytes", bytes)
 	}
 	s := c.rt.Sim()
-	req := &Request{Done: s.NewSignal(), Bytes: bytes, start: s.Now(), Multipath: true}
+	req := newRequest(s, bytes)
+	req.Multipath = true
 	c.beginTransferSpan(req, src, dst, "transfer")
-	run := &mpRun{
-		c: c, src: src, dst: dst, sel: sel, req: req, total: bytes,
-		onPlan: func(pl *core.Plan) { req.Plan = pl },
-	}
+	run := &mpRun{c: c, src: src, dst: dst, sel: sel, req: req, total: bytes}
 	if c.tracer != nil {
 		run.span, run.trk = req.span, xferTrack(src, dst)
 	}

@@ -545,7 +545,9 @@ func (w *Worker) Connect(peerDev int) (*Endpoint, error) {
 
 // Request is an in-flight one-sided operation.
 type Request struct {
+	// Done points at the request's own embedded completion signal.
 	Done  *sim.Signal
+	done  sim.Signal
 	Bytes float64
 	start sim.Time
 	// Multipath reports whether the transfer used the multi-path engine.
@@ -559,6 +561,14 @@ type Request struct {
 	Failovers int
 	// span is the transfer's root trace span (NoSpan when tracing is off).
 	span obs.SpanID
+}
+
+// newRequest starts a request for bytes at the current instant.
+func newRequest(s *sim.Simulator, bytes float64) *Request {
+	req := &Request{Bytes: bytes, start: s.Now()}
+	req.done.Init(s)
+	req.Done = &req.done
+	return req
 }
 
 // Elapsed returns the operation duration once Done has fired.
@@ -596,7 +606,7 @@ func (ep *Endpoint) put(bytes float64, concurrent [][2]int) (*Request, error) {
 	c := ep.ctx
 	c.puts.Add(1)
 	s := c.rt.Sim()
-	req := &Request{Done: s.NewSignal(), Bytes: bytes, start: s.Now()}
+	req := newRequest(s, bytes)
 	c.beginTransferSpan(req, ep.src, ep.dst, "put")
 
 	// cuda_ipc handle translation: first transfer to a peer opens the
@@ -669,7 +679,7 @@ func (c *Context) PlanForSet(src, dst int, bytes float64, sel hw.PathSet, concur
 // after enumeration, so the plan cache keys the filtered list and
 // healthy-state plans are never clobbered by degraded-state ones.
 func (c *Context) planWith(src, dst int, bytes float64, sel hw.PathSet, concurrent [][2]int, excluded map[hw.Path]bool, parent obs.SpanID) (*core.Plan, error) {
-	paths, err := c.rt.Node().Spec.EnumeratePaths(src, dst, sel)
+	paths, err := c.rt.Node().Paths(src, dst, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -720,8 +730,7 @@ func (ep *Endpoint) multiPath(req *Request, bytes, setup float64, concurrent [][
 	s := c.rt.Sim()
 	run := &mpRun{
 		c: c, src: ep.src, dst: ep.dst, sel: c.sel,
-		concurrent: concurrent, req: req, total: bytes,
-		onPlan: func(pl *core.Plan) { ep.plan = pl; req.Plan = pl },
+		concurrent: concurrent, req: req, total: bytes, ep: ep,
 	}
 	if c.tracer != nil {
 		// put() already opened the transfer's root span on req.
@@ -733,23 +742,28 @@ func (ep *Endpoint) multiPath(req *Request, bytes, setup float64, concurrent [][
 		return nil, err
 	}
 	req.Multipath = true
-	pair := [2]int{ep.src, ep.dst}
 	c.inflightMu.Lock()
-	c.inflight[pair]++
+	c.inflight[[2]int{ep.src, ep.dst}]++
 	c.inflightMu.Unlock()
-	run.release = func() {
-		c.inflightMu.Lock()
-		if c.inflight[pair] > 0 {
-			c.inflight[pair]--
-		}
-		if c.inflight[pair] == 0 {
-			delete(c.inflight, pair)
-		}
-		c.inflightMu.Unlock()
-	}
+	run.inflight = true
 	c.trackRun(run)
-	s.Schedule(setup+c.cfg.RndvOverhead, func() { run.begin(pl) })
+	run.first = pl
+	s.ScheduleHandler(setup+c.cfg.RndvOverhead, run, mpBegin)
 	return req, nil
+}
+
+// releaseInflight drops one in-flight transfer of the pair from the
+// load-aware planner's view.
+func (c *Context) releaseInflight(src, dst int) {
+	pair := [2]int{src, dst}
+	c.inflightMu.Lock()
+	if c.inflight[pair] > 0 {
+		c.inflight[pair]--
+	}
+	if c.inflight[pair] == 0 {
+		delete(c.inflight, pair)
+	}
+	c.inflightMu.Unlock()
 }
 
 // inflightPairs snapshots the currently active transfer pairs other than

@@ -277,7 +277,7 @@ func (sys *System) Drain() error { return sys.Sim.Run() }
 // Plan computes the optimal multi-path configuration for a transfer
 // without executing it.
 func (sys *System) Plan(src, dst int, bytes float64, sel PathSet) (*Plan, error) {
-	paths, err := sys.Node.Spec.EnumeratePaths(src, dst, sel)
+	paths, err := sys.Node.Paths(src, dst, sel)
 	if err != nil {
 		return nil, err
 	}
