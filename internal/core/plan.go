@@ -415,6 +415,9 @@ func (m *Model) plan(paths []hw.Path, n float64) (*Plan, error) {
 	// Chunk counts and per-path predictions at the actual byte shares.
 	worst := 0.0
 	for i := range plans {
+		if !finite(plans[i].Theta) || !finite(plans[i].Bytes) {
+			return nil, errNoFinitePlan(n)
+		}
 		plans[i].Chunks = m.chunksFor(&plans[i])
 		if plans[i].Bytes > 0 {
 			plans[i].Predicted = AffinePath{Omega: plans[i].Omega, Delta: plans[i].Delta}.Time(plans[i].Bytes)
@@ -422,6 +425,9 @@ func (m *Model) plan(paths []hw.Path, n float64) (*Plan, error) {
 				worst = plans[i].Predicted
 			}
 		}
+	}
+	if !(worst > 0) || !finite(worst) {
+		return nil, errNoFinitePlan(n)
 	}
 
 	pl := &Plan{
@@ -436,6 +442,16 @@ func (m *Model) plan(paths []hw.Path, n float64) (*Plan, error) {
 	}
 	return pl, nil
 }
+
+// errNoFinitePlan refuses a size the solver cannot split: one so small
+// that n·Ω underflows leaves the water-fill with 0/0 shares and no path
+// with bytes, which would otherwise reach callers as a NaN split with a
+// zero predicted time.
+func errNoFinitePlan(n float64) error {
+	return fmt.Errorf("core: no finite plan for %v bytes", n)
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // rescale projects a plan solved at a size-class representative onto the
 // exact transfer size: the cached share fractions are kept, byte shares

@@ -172,6 +172,27 @@ func TestPlanSmallMessageFallsBackToDirect(t *testing.T) {
 	}
 }
 
+// TestPlanRefusesUnderflowingSizes checks that a size so small that n·Ω
+// underflows is refused, instead of planned to a NaN split with a zero
+// predicted time, and that a slightly larger tiny size still plans.
+func TestPlanRefusesUnderflowingSizes(t *testing.T) {
+	_, m := belugaModel(t, DefaultOptions())
+	for _, sel := range []hw.PathSet{hw.DirectOnly, hw.ThreeGPUsWithHost} {
+		for _, n := range []float64{5e-324, 1e-320, 1e-310, 1e-305} {
+			if pl, err := m.PlanTransfer(belugaPaths(t, sel), n); err == nil {
+				t.Fatalf("%v, n=%g: planned %+v, want an error", sel, n, pl)
+			}
+		}
+		pl, err := m.PlanTransfer(belugaPaths(t, sel), 1e-300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(pl.PredictedTime > 0) || pl.Paths[0].Bytes != 1e-300 {
+			t.Fatalf("%v, n=1e-300: plan %+v", sel, pl)
+		}
+	}
+}
+
 func TestPlanChunkBoundsRespected(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxChunks = 8

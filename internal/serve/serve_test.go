@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +17,7 @@ import (
 	v1 "repro/internal/serve/v1"
 )
 
-func newTestServer(t *testing.T, clusters ...string) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, clusters ...string) (*Server, *httptest.Server) {
 	t.Helper()
 	if len(clusters) == 0 {
 		clusters = []string{"beluga"}
@@ -101,6 +103,9 @@ func TestHandlerErrors(t *testing.T) {
 		{"plan src==dst", "POST", "/v1/plan", nil,
 			`{"cluster":"beluga","src":1,"dst":1,"bytes":1048576}`,
 			http.StatusUnprocessableEntity, v1.ErrCodePlanFailed},
+		{"plan of an underflowing size", "POST", "/v1/plan", nil,
+			`{"cluster":"beluga","src":0,"dst":1,"bytes":5e-324,"pathset":"direct"}`,
+			http.StatusUnprocessableEntity, v1.ErrCodePlanFailed},
 		{"version mismatch", "POST", "/v1/plan", map[string]string{v1.APIVersionHeader: "v9"},
 			`{"cluster":"beluga","src":0,"dst":1,"bytes":1048576}`,
 			http.StatusBadRequest, v1.ErrCodeVersionMismatch},
@@ -109,6 +114,12 @@ func TestHandlerErrors(t *testing.T) {
 			http.StatusBadRequest, v1.ErrCodeBadRequest},
 		{"oversized batch", "POST", "/v1/batch", nil, bigBatch,
 			http.StatusRequestEntityTooLarge, v1.ErrCodeBatchTooLarge},
+		{"batch unknown field", "POST", "/v1/batch", nil,
+			`{"cluster":"beluga","items":[{"src":0,"dst":1,"bytes":1048576}],"sizzle":9}`,
+			http.StatusBadRequest, v1.ErrCodeBadRequest},
+		{"batch item unknown field", "POST", "/v1/batch", nil,
+			`{"cluster":"beluga","items":[{"src":0,"dst":1,"bytes":1048576,"sizzle":9}]}`,
+			http.StatusBadRequest, v1.ErrCodeBadRequest},
 		{"batch unknown default cluster", "POST", "/v1/batch", nil,
 			`{"cluster":"nope","items":[{"src":0,"dst":1,"bytes":1048576}]}`,
 			http.StatusNotFound, v1.ErrCodeUnknownCluster},
@@ -199,30 +210,53 @@ func TestPlanAndBatchHappyPath(t *testing.T) {
 		t.Fatalf("plan = %+v", pr)
 	}
 
-	resp, body = doJSON(t, hts.Client(), "POST", hts.URL+"/v1/batch", nil,
-		`{"items":[
+	// Item 3's size underflows the solver: it fails in-band like item 2,
+	// in detail and non-detail batches alike.
+	items := `[
 			{"cluster":"beluga","src":0,"dst":1,"bytes":67108864},
 			{"cluster":"narval","src":0,"dst":1,"bytes":67108864},
-			{"cluster":"beluga","src":2,"dst":2,"bytes":1}
-		],"detail":true}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+			{"cluster":"beluga","src":2,"dst":2,"bytes":1},
+			{"cluster":"beluga","src":0,"dst":1,"bytes":5e-324}
+		]`
+	batch := func(detail bool) v1.BatchResponse {
+		t.Helper()
+		resp, body := doJSON(t, hts.Client(), "POST", hts.URL+"/v1/batch", nil,
+			fmt.Sprintf(`{"items":%s,"detail":%t}`, items, detail))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d %s", resp.StatusCode, body)
+		}
+		var br v1.BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatalf("batch answer %q: %v", body, err)
+		}
+		if len(br.Results) != 4 || br.Failed != 2 {
+			t.Fatalf("batch = %+v", br)
+		}
+		for _, i := range []int{2, 3} {
+			if br.Results[i].Error == nil || br.Results[i].Error.Code != v1.ErrCodePlanFailed {
+				t.Fatalf("item %d error = %+v", i, br.Results[i].Error)
+			}
+		}
+		return br
 	}
-	var br v1.BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 3 || br.Failed != 1 {
-		t.Fatalf("batch = %+v", br)
-	}
+	br := batch(true)
 	if br.Results[0].PredictedSeconds != pr.PredictedSeconds {
 		t.Fatalf("batch item 0 prediction %g != single plan %g", br.Results[0].PredictedSeconds, pr.PredictedSeconds)
 	}
 	if br.Results[0].Plan == nil || len(br.Results[0].Plan.Paths) == 0 {
 		t.Fatal("detail batch lost the per-path assignment")
 	}
-	if br.Results[2].Error == nil || br.Results[2].Error.Code != v1.ErrCodePlanFailed {
-		t.Fatalf("item 2 error = %+v", br.Results[2].Error)
+	compact := batch(false)
+	for i := range compact.Results {
+		got, want := compact.Results[i], br.Results[i]
+		if got.Plan != nil {
+			t.Fatalf("item %d: non-detail batch carries a plan", i)
+		}
+		if math.Float64bits(got.PredictedSeconds) != math.Float64bits(want.PredictedSeconds) ||
+			math.Float64bits(got.PredictedGBps) != math.Float64bits(want.PredictedGBps) {
+			t.Fatalf("item %d: non-detail %v s %v GB/s, detail %v s %v GB/s", i,
+				got.PredictedSeconds, got.PredictedGBps, want.PredictedSeconds, want.PredictedGBps)
+		}
 	}
 }
 
@@ -387,6 +421,34 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	if resp.Error == nil || resp.Error.Code != v1.ErrCodeBadRequest {
 		t.Fatalf("empty frame = %+v", resp.Error)
+	}
+	// A size that underflows the solver fails in-band too.
+	resp, err = RoundTripTCP(conn, &v1.TCPRequest{Plan: &v1.PlanRequest{Cluster: "beluga", Src: 0, Dst: 1, Bytes: 5e-324}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error == nil || resp.Error.Code != v1.ErrCodePlanFailed {
+		t.Fatalf("underflowing plan frame = %+v err=%+v", resp.Plan, resp.Error)
+	}
+	// Frames decode leniently: an unknown item field, which HTTP refuses,
+	// is answered.
+	frame := []byte(`{"v":"v1","batch":{"cluster":"beluga","items":[{"src":0,"dst":1,"bytes":1048576,"sizzle":9}]}}`)
+	if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, uint32(len(frame)))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readFrame(conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = &v1.TCPResponse{}
+	if err := json.Unmarshal(payload, resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error != nil || resp.Batch == nil || len(resp.Batch.Results) != 1 || !(resp.Batch.Results[0].PredictedSeconds > 0) {
+		t.Fatalf("frame with an unknown item field = %s", payload)
 	}
 }
 

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/obs"
 	v1 "repro/internal/serve/v1"
@@ -150,8 +155,8 @@ func (s *Server) ok(w http.ResponseWriter, doc any) {
 
 // decode parses a JSON request body strictly (unknown fields rejected, so
 // schema typos fail loudly instead of being silently ignored).
-func decode(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+func decode(body io.Reader, into any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(into)
 }
@@ -171,8 +176,8 @@ func (s *Server) resolve(w http.ResponseWriter, name string) (*Tenant, bool) {
 	return t, true
 }
 
-// planOne answers one plan query against a tenant.
-func planOne(t *Tenant, src, dst int, bytes float64, pathSet string, concurrent [][2]int) (*v1.PlanResponse, *v1.ErrorBody) {
+// planFor plans one query against a tenant.
+func planFor(t *Tenant, src, dst int, bytes float64, pathSet string, concurrent [][2]int) (*core.Plan, *v1.ErrorBody) {
 	sel, err := ucx.PathSetByName(pathSet)
 	if err != nil {
 		return nil, &v1.ErrorBody{Code: v1.ErrCodeBadRequest, Message: err.Error()}
@@ -181,8 +186,13 @@ func planOne(t *Tenant, src, dst int, bytes float64, pathSet string, concurrent 
 	if err != nil {
 		return nil, &v1.ErrorBody{Code: v1.ErrCodePlanFailed, Message: err.Error()}
 	}
+	return pl, nil
+}
+
+// planResponse renders a plan as the v1 wire document.
+func planResponse(cluster string, pl *core.Plan) *v1.PlanResponse {
 	resp := &v1.PlanResponse{
-		Cluster:          t.Name(),
+		Cluster:          cluster,
 		Src:              pl.Src,
 		Dst:              pl.Dst,
 		Bytes:            pl.Bytes,
@@ -201,7 +211,7 @@ func planOne(t *Tenant, src, dst int, bytes float64, pathSet string, concurrent 
 			PredictedSeconds: pp.Predicted,
 		}
 	}
-	return resp, nil
+	return resp
 }
 
 // doPlan answers one plan request (shared by HTTP and TCP fronts).
@@ -216,23 +226,25 @@ func (s *Server) doPlan(req *v1.PlanRequest) (*v1.PlanResponse, *v1.ErrorBody) {
 		return nil, &v1.ErrorBody{Code: v1.ErrCodeUnknownCluster,
 			Message: fmt.Sprintf("cluster %q is not registered", req.Cluster)}
 	}
-	resp, perr := planOne(t, req.Src, req.Dst, req.Bytes, req.PathSet, req.Concurrent)
+	pl, perr := planFor(t, req.Src, req.Dst, req.Bytes, req.PathSet, req.Concurrent)
 	if perr != nil {
 		return nil, perr
 	}
+	resp := planResponse(t.Name(), pl)
 	s.met.planSeconds.Observe(time.Since(start).Seconds())
 	return resp, nil
 }
 
-// doBatch answers a batch request (shared by HTTP and TCP fronts).
-func (s *Server) doBatch(req *v1.BatchRequest) (*v1.BatchResponse, *v1.ErrorBody) {
+// doBatch answers a batch request into resp, reusing its Results storage
+// (shared by HTTP and TCP fronts). On error resp is not an answer.
+func (s *Server) doBatch(req *v1.BatchRequest, resp *v1.BatchResponse) *v1.ErrorBody {
 	start := time.Now()
 	s.met.batchReqs.Inc()
 	if len(req.Items) == 0 {
-		return nil, &v1.ErrorBody{Code: v1.ErrCodeBadRequest, Message: "batch has no items"}
+		return &v1.ErrorBody{Code: v1.ErrCodeBadRequest, Message: "batch has no items"}
 	}
 	if len(req.Items) > s.maxBatch {
-		return nil, &v1.ErrorBody{Code: v1.ErrCodeBatchTooLarge,
+		return &v1.ErrorBody{Code: v1.ErrCodeBatchTooLarge,
 			Message: fmt.Sprintf("batch of %d items exceeds the %d-item limit", len(req.Items), s.maxBatch)}
 	}
 	// Resolve the default tenant once — the registry pass every item
@@ -245,15 +257,14 @@ func (s *Server) doBatch(req *v1.BatchRequest) (*v1.BatchResponse, *v1.ErrorBody
 	if req.Cluster != "" {
 		t, ok := s.reg.Lookup(req.Cluster)
 		if !ok {
-			return nil, &v1.ErrorBody{Code: v1.ErrCodeUnknownCluster,
+			return &v1.ErrorBody{Code: v1.ErrCodeUnknownCluster,
 				Message: fmt.Sprintf("cluster %q is not registered", req.Cluster)}
 		}
 		tenants[req.Cluster] = t
 	}
-	resp := &v1.BatchResponse{
-		Cluster: req.Cluster,
-		Results: make([]v1.BatchResult, len(req.Items)),
-	}
+	results := slices.Grow(resp.Results[:0], len(req.Items))[:len(req.Items)]
+	clear(results)
+	*resp = v1.BatchResponse{Cluster: req.Cluster, Results: results}
 	for i := range req.Items {
 		it := &req.Items[i]
 		name := it.Cluster
@@ -275,22 +286,24 @@ func (s *Server) doBatch(req *v1.BatchRequest) (*v1.BatchResponse, *v1.ErrorBody
 			}
 			tenants[name] = t
 		}
-		pr, perr := planOne(t, it.Src, it.Dst, it.Bytes, it.PathSet, nil)
+		pl, perr := planFor(t, it.Src, it.Dst, it.Bytes, it.PathSet, nil)
 		if perr != nil {
 			resp.Results[i].Error = perr
 			resp.Failed++
 			continue
 		}
-		resp.Results[i].PredictedSeconds = pr.PredictedSeconds
-		resp.Results[i].PredictedGBps = pr.PredictedGBps
+		// The same expressions planResponse uses, so a detail and a
+		// non-detail answer agree bit for bit.
+		resp.Results[i].PredictedSeconds = pl.PredictedTime
+		resp.Results[i].PredictedGBps = pl.PredictedBandwidth / 1e9
 		if req.Detail {
-			resp.Results[i].Plan = pr
+			resp.Results[i].Plan = planResponse(t.Name(), pl)
 		}
 	}
 	s.met.batchPlans.Add(int64(len(req.Items)))
 	s.met.batchItems.Observe(float64(len(req.Items)))
 	s.met.batchSeconds.Observe(time.Since(start).Seconds())
-	return resp, nil
+	return nil
 }
 
 // httpStatusFor maps wire error codes to HTTP statuses.
@@ -313,7 +326,7 @@ func httpStatusFor(code string) int {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req v1.PlanRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, v1.ErrCodeBadRequest, "decode plan request: "+err.Error())
 		return
 	}
@@ -325,24 +338,44 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.ok(w, resp)
 }
 
+// codecs holds the batch codecs of HTTP requests between uses.
+var codecs = sync.Pool{New: func() any { return new(codec) }}
+
+// handleBatch answers through the batch codec. A body it declines goes,
+// over the same bytes, to the strict decoder; an answer it declines goes
+// to the JSON encoder.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req v1.BatchRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, v1.ErrCodeBadRequest, "decode batch request: "+err.Error())
-		return
+	c := codecs.Get().(*codec)
+	defer func() {
+		c.release()
+		codecs.Put(c)
+	}()
+	body, whole := c.readBody(r.Body, s.maxBody)
+	if !whole || !c.decodeBatch(body, s.maxBatch) {
+		c.req = v1.BatchRequest{}
+		if err := decode(io.MultiReader(bytes.NewReader(body), r.Body), &c.req); err != nil {
+			s.fail(w, http.StatusBadRequest, v1.ErrCodeBadRequest, "decode batch request: "+err.Error())
+			return
+		}
 	}
-	resp, perr := s.doBatch(&req)
-	if perr != nil {
+	if perr := s.doBatch(&c.req, &c.resp); perr != nil {
 		s.fail(w, httpStatusFor(perr.Code), perr.Code, perr.Message)
 		return
 	}
-	s.ok(w, resp)
+	out, ok := appendBatch(c.out[:0], &c.resp)
+	if !ok {
+		s.ok(w, &c.resp)
+		return
+	}
+	c.out = append(out, '\n') // as json.Encoder ends each document
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(c.out) // a failed write means the client is gone
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.met.observeReqs.Inc()
 	var req v1.ObserveRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, v1.ErrCodeBadRequest, "decode observe request: "+err.Error())
 		return
 	}

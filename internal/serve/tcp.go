@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	v1 "repro/internal/serve/v1"
@@ -86,28 +87,39 @@ func (ts *TCPServer) serveConn(conn net.Conn) {
 		delete(ts.conns, conn)
 		ts.mu.Unlock()
 	}()
+	var c codec
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(conn, c.in)
+		c.in = payload
 		if err != nil {
 			// EOF (client done) and teardown races end the loop quietly;
 			// the framing protocol has no in-band way to report them.
 			return
 		}
-		resp := ts.handleFrame(payload)
-		if err := writeFrame(conn, resp); err != nil {
+		c.out, err = appendFrame(c.out[:0], ts.handleFrame(&c, payload))
+		if err != nil {
 			return
 		}
+		if _, err := conn.Write(c.out); err != nil {
+			return
+		}
+		c.release()
 	}
 }
 
-// handleFrame answers one decoded frame. Errors travel inside TCPResponse
-// — the connection survives bad requests.
-func (ts *TCPServer) handleFrame(payload []byte) *v1.TCPResponse {
-	resp := &v1.TCPResponse{Version: v1.Version}
-	var req v1.TCPRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		resp.Error = &v1.ErrorBody{Code: v1.ErrCodeBadRequest, Message: "decode frame: " + err.Error()}
-		return resp
+// handleFrame answers one frame's payload, decoding and answering into the
+// connection's codec. Errors travel inside TCPResponse — the connection
+// survives bad requests.
+func (ts *TCPServer) handleFrame(c *codec, payload []byte) *v1.TCPResponse {
+	resp := &c.tcp
+	*resp = v1.TCPResponse{Version: v1.Version}
+	req := &c.frame
+	if !c.decodeFrame(payload, ts.srv.maxBatch) {
+		*req = v1.TCPRequest{}
+		if err := json.Unmarshal(payload, req); err != nil {
+			resp.Error = &v1.ErrorBody{Code: v1.ErrCodeBadRequest, Message: "decode frame: " + err.Error()}
+			return resp
+		}
 	}
 	if req.Version != "" && req.Version != v1.Version {
 		resp.Error = &v1.ErrorBody{Code: v1.ErrCodeVersionMismatch,
@@ -118,7 +130,9 @@ func (ts *TCPServer) handleFrame(payload []byte) *v1.TCPResponse {
 	case req.Plan != nil && req.Batch == nil:
 		resp.Plan, resp.Error = ts.srv.doPlan(req.Plan)
 	case req.Batch != nil && req.Plan == nil:
-		resp.Batch, resp.Error = ts.srv.doBatch(req.Batch)
+		if resp.Error = ts.srv.doBatch(req.Batch, &c.resp); resp.Error == nil {
+			resp.Batch = &c.resp
+		}
 	default:
 		resp.Error = &v1.ErrorBody{Code: v1.ErrCodeBadRequest, Message: "frame must carry exactly one of plan or batch"}
 	}
@@ -129,10 +143,14 @@ func (ts *TCPServer) handleFrame(payload []byte) *v1.TCPResponse {
 // minimal client side of the fast path, used by tests and the load
 // driver. The conn must not be shared between concurrent round trips.
 func RoundTripTCP(conn net.Conn, req *v1.TCPRequest) (*v1.TCPResponse, error) {
-	if err := writeFrame(conn, req); err != nil {
+	frame, err := appendFrame(nil, req)
+	if err != nil {
 		return nil, err
 	}
-	payload, err := readFrame(conn)
+	if _, err := conn.Write(frame); err != nil {
+		return nil, err
+	}
+	payload, err := readFrame(conn, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -143,37 +161,49 @@ func RoundTripTCP(conn net.Conn, req *v1.TCPRequest) (*v1.TCPResponse, error) {
 	return &resp, nil
 }
 
-// readFrame reads one length-prefixed JSON payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one length-prefixed JSON payload into buf's storage. The
+// header is untrusted: buf grows only as payload bytes arrive, so a header
+// announcing a large frame costs nothing until its bytes come.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	hdr := slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return hdr[:0], err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n == 0 || n > maxFrameBytes {
-		return nil, fmt.Errorf("serve: frame length %d out of range", n)
+		return hdr[:0], fmt.Errorf("serve: frame length %d out of range", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	payload, err := readUpTo(r, hdr[:0], n)
+	if len(payload) == n {
+		return payload, nil
 	}
-	return payload, nil
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return payload, err
 }
 
-// writeFrame writes one length-prefixed JSON payload.
-func writeFrame(w io.Writer, doc any) error {
-	payload, err := json.Marshal(doc)
-	if err != nil {
-		return err
+// appendFrame appends doc to b as one length-prefixed frame: a batch answer
+// through the batch codec when it takes it, anything else through
+// json.Marshal.
+func appendFrame(b []byte, doc any) ([]byte, error) {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0)
+	ok := false
+	if resp, isResp := doc.(*v1.TCPResponse); isResp {
+		b, ok = appendFrameBatch(b, resp)
 	}
-	if len(payload) > maxFrameBytes {
-		return fmt.Errorf("serve: response frame of %d bytes exceeds limit", len(payload))
+	if !ok {
+		payload, err := json.Marshal(doc)
+		if err != nil {
+			return b[:start], err
+		}
+		b = append(b[:start+4], payload...)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	n := len(b) - start - 4
+	if n > maxFrameBytes {
+		return b[:start], fmt.Errorf("serve: response frame of %d bytes exceeds limit", n)
 	}
-	_, err = w.Write(payload)
-	return err
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
 }

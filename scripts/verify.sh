@@ -74,6 +74,15 @@ go test -race -count=3 \
 	-run 'TestHotReloadDuringBatchPlanning|TestTCPRoundTrip' \
 	./internal/serve/
 
+# The serve batch codec stands in for encoding/json on the batch hot path:
+# run each differential fuzz target for a short fixed time. A crasher is
+# written to internal/serve/testdata/fuzz/, where go test replays it as a
+# regression seed once it is checked in.
+echo "==> go test -fuzz (serve batch codec, 10 s per target)"
+for target in FuzzDecodeBatch FuzzEncodeBatch; do
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/serve
+done
+
 # Shard smoke: one reduced repetition of the fleet + single-component
 # ladders, proving the sharded experiment (and its checksum-equality
 # enforcement across worker and shard counts) runs end to end.
