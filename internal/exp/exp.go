@@ -92,10 +92,6 @@ type Options struct {
 	// (0 = one shard per node). mpbench seeds it from UCX_MP_SHARDS /
 	// -shards; results are byte-identical for every value by construction.
 	Shards int
-	// ServePlans floors the per-series plan-query volume of the serve
-	// experiment (0 = the full ≥1M replay); mpbench -quick shrinks it so
-	// smoke runs finish in seconds.
-	ServePlans int
 }
 
 // DefaultOptions reproduces the paper's full grid.

@@ -146,3 +146,41 @@ func TestExtInterNodeShape(t *testing.T) {
 		}
 	}
 }
+
+// The compiled-graph headline: at 4 MiB, where the multi-path split first
+// kicks in, single-launch replay beats the eager engine on beluga; below
+// the split (one path, nothing to save) the two engines tie.
+func TestExtGraphsGainAt4MiB(t *testing.T) {
+	fig, err := ExtGraphs(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Panels) != 1 {
+		t.Fatalf("panels = %d, want 1", len(fig.Panels))
+	}
+	gains := fig.Panels[0].FindSeries("speedup_%")
+	if gain, _ := gains.Value(4 * hw.MiB); gain < 10 {
+		t.Errorf("compiled gain at 4 MiB = %.2f%%, want >= 10%%", gain)
+	}
+	if gain, _ := gains.Value(256 * hw.KiB); gain != 0 {
+		t.Errorf("compiled gain at 256 KiB = %.2f%%, want 0", gain)
+	}
+}
+
+// ExtFaults renders three panels per cluster, and in the permanent-failure
+// panel only the adaptive runtime delivers bandwidth.
+func TestExtFaultsPanels(t *testing.T) {
+	fig, err := ExtFaults(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Panels) != 3 {
+		t.Fatalf("panels = %d, want 3", len(fig.Panels))
+	}
+	failure := fig.Panels[2]
+	adaptive, _ := failure.FindSeries("adaptive").Value(faultRefBytes)
+	static, _ := failure.FindSeries("static").Value(faultRefBytes)
+	if !(adaptive > 0) || static != 0 {
+		t.Errorf("permanent failure: adaptive %.2f GB/s, static %.2f GB/s", adaptive/1e9, static/1e9)
+	}
+}

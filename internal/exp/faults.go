@@ -26,22 +26,14 @@ import (
 //     adaptive runtime fails over to the surviving paths while the
 //     baseline (failover off) loses the transfer.
 
-// FaultPoint is one measured (cluster, scenario, factor, size, mode) cell.
-type FaultPoint struct {
-	Cluster  string `json:"cluster"`
-	Scenario string `json:"scenario"` // "degrade" or "failure"
-	// Factor is the capacity multiplier applied at fault time (0 for a
-	// permanent link failure).
-	Factor   float64 `json:"factor"`
-	Bytes    float64 `json:"bytes"`
-	Adaptive bool    `json:"adaptive"`
+// faultOutcome is one transfer's result under a fault plan.
+type faultOutcome struct {
 	// Completed is false when the transfer failed (baseline under a
 	// permanent failure with failover off).
-	Completed bool    `json:"completed"`
-	Bandwidth float64 `json:"bandwidth_gbps"` // achieved, GB/s; 0 if failed
-	Elapsed   float64 `json:"elapsed_s"`
-	Retries   int     `json:"retries"`
-	Failovers int     `json:"failovers"`
+	Completed bool
+	Bandwidth float64 // achieved, GB/s; 0 if failed
+	Retries   int
+	Failovers int
 }
 
 // faultDegradeFactors is the capacity-multiplier sweep at the reference
@@ -73,50 +65,42 @@ func adaptiveFaultConfig() ucx.Config {
 // and reports the outcome. When notify is set, fault events invalidate the
 // plan cache (the health-notification path a real runtime gets from NVML);
 // silent degradations are still caught by recalibration, just later.
-func runFaultTransfer(cluster string, bytes float64, cfg ucx.Config, fp *hw.FaultPlan, notify bool) (FaultPoint, error) {
+func runFaultTransfer(cluster string, bytes float64, cfg ucx.Config, fp *hw.FaultPlan, notify bool) (faultOutcome, error) {
 	spec, err := specFor(cluster)
 	if err != nil {
-		return FaultPoint{}, err
+		return faultOutcome{}, err
 	}
 	s := sim.New()
 	node, err := hw.Build(s, spec)
 	if err != nil {
-		return FaultPoint{}, err
+		return faultOutcome{}, err
 	}
 	ctx, err := ucx.NewContext(cuda.NewRuntime(node), cfg)
 	if err != nil {
-		return FaultPoint{}, err
+		return faultOutcome{}, err
 	}
-	if fp != nil {
-		inj, err := fp.Arm(node)
-		if err != nil {
-			return FaultPoint{}, err
-		}
-		if notify {
-			inj.OnEvent(func(hw.FaultEvent) { ctx.NotifyFault() })
-		}
+	inj, err := fp.Arm(node)
+	if err != nil {
+		return faultOutcome{}, err
+	}
+	if notify {
+		inj.OnEvent(func(hw.FaultEvent) { ctx.NotifyFault() })
 	}
 	req, err := ctx.StartTransfer(0, 1, bytes, hw.AllPaths)
 	if err != nil {
-		return FaultPoint{}, err
+		return faultOutcome{}, err
 	}
 	if err := s.Run(); err != nil {
-		return FaultPoint{}, err
+		return faultOutcome{}, err
 	}
-	pt := FaultPoint{
-		Cluster:   cluster,
-		Bytes:     bytes,
-		Retries:   req.Retries,
-		Failovers: req.Failovers,
-	}
+	out := faultOutcome{Retries: req.Retries, Failovers: req.Failovers}
 	if req.Done.Err() == nil {
-		pt.Completed = true
-		pt.Elapsed = req.Elapsed()
-		if pt.Elapsed > 0 {
-			pt.Bandwidth = bytes / pt.Elapsed / 1e9
+		out.Completed = true
+		if elapsed := req.Elapsed(); elapsed > 0 {
+			out.Bandwidth = bytes / elapsed / 1e9
 		}
 	}
-	return pt, nil
+	return out, nil
 }
 
 // faultFreeTime predicts the fault-free transfer time at the given size,
@@ -158,18 +142,16 @@ var faultModes = []faultMode{
 // runFaultCell measures one (cluster, size, factor, mode) cell: factor > 0
 // degrades the direct link mid-transfer, factor == 0 kills the staging
 // link permanently.
-func runFaultCell(cluster string, bytes, factor float64, m faultMode) (FaultPoint, error) {
+func runFaultCell(cluster string, bytes, factor float64, m faultMode) (faultOutcome, error) {
 	tFree, err := faultFreeTime(cluster, bytes)
 	if err != nil {
-		return FaultPoint{}, err
+		return faultOutcome{}, err
 	}
 	at := 0.5 * tFree
 	var fp hw.FaultPlan
-	scenario := "degrade"
 	if factor > 0 {
 		fp.Degrade(at, hw.NVLinkRef(0, 1), factor)
 	} else {
-		scenario = "failure"
 		fp.Fail(at, hw.NVLinkRef(0, 2))
 	}
 	cfg := ucx.DefaultConfig()
@@ -179,30 +161,18 @@ func runFaultCell(cluster string, bytes, factor float64, m faultMode) (FaultPoin
 		// The baseline has no failover: a permanent path failure is lost.
 		cfg.FailoverEnable = false
 	}
-	pt, err := runFaultTransfer(cluster, bytes, cfg, &fp, m.adaptive)
-	if err != nil {
-		return FaultPoint{}, err
-	}
-	pt.Scenario = scenario
-	pt.Factor = factor
-	pt.Adaptive = m.adaptive
-	return pt, nil
+	return runFaultTransfer(cluster, bytes, cfg, &fp, m.adaptive)
 }
 
-// Faults runs the fault-adaptation evaluation and renders one panel per
-// cluster and scenario.
-func Faults(opts Options) (*Figure, []FaultPoint, error) {
-	clusters := opts.Clusters
-	if len(clusters) == 0 {
-		clusters = []string{"beluga", "narval"}
-	}
+// ExtFaults runs the fault-adaptation evaluation and renders one panel
+// per cluster and scenario.
+func ExtFaults(opts Options) (*Figure, error) {
 	fig := &Figure{
-		ID: "faults",
-		Caption: "Fault adaptation: achieved bandwidth under mid-transfer link faults, " +
+		ID: "ext-faults",
+		Caption: "Extension: fault adaptation, achieved bandwidth under mid-transfer link faults, " +
 			"adaptive runtime (segmented re-planning + recalibration + failover) vs plan-once baseline",
 	}
-	var points []FaultPoint
-	for _, cluster := range clusters {
+	for _, cluster := range opts.Clusters {
 		factorPanel := Panel{
 			Title:  fmt.Sprintf("%s: direct NVLink degraded to factor at t=0.5·T (64 MiB)", cluster),
 			XLabel: "capacity factor", YLabel: "GB/s",
@@ -220,9 +190,8 @@ func Faults(opts Options) (*Figure, []FaultPoint, error) {
 			for _, factor := range faultDegradeFactors {
 				pt, err := runFaultCell(cluster, faultRefBytes, factor, m)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				points = append(points, pt)
 				fs.Points = append(fs.Points, Point{Bytes: factor, Value: pt.Bandwidth * 1e9})
 			}
 			factorPanel.Series = append(factorPanel.Series, fs)
@@ -231,18 +200,16 @@ func Faults(opts Options) (*Figure, []FaultPoint, error) {
 			for _, bytes := range faultSweepSizes {
 				pt, err := runFaultCell(cluster, bytes, 0.5, m)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				points = append(points, pt)
 				ss.Points = append(ss.Points, Point{Bytes: bytes, Value: pt.Bandwidth * 1e9})
 			}
 			sizePanel.Series = append(sizePanel.Series, ss)
 
 			pt, err := runFaultCell(cluster, faultRefBytes, 0, m)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			points = append(points, pt)
 			failurePanel.Series = append(failurePanel.Series, Series{
 				Name:   m.name,
 				Points: []Point{{Bytes: faultRefBytes, Value: pt.Bandwidth * 1e9}},
@@ -250,5 +217,5 @@ func Faults(opts Options) (*Figure, []FaultPoint, error) {
 		}
 		fig.Panels = append(fig.Panels, factorPanel, sizePanel, failurePanel)
 	}
-	return fig, points, nil
+	return fig, nil
 }

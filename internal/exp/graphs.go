@@ -2,60 +2,17 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/cuda"
 	"repro/internal/hw"
 	"repro/internal/omb"
 	"repro/internal/par"
-	"repro/internal/pipeline"
-	"repro/internal/sim"
-	"repro/internal/ucx"
 )
 
-// The graphs experiment quantifies the compiled-transfer-graph fast path:
-// the same OMB bandwidth sweep run twice per (cluster, window) cell, once
-// through the eager (interpreted) engine and once with UCX_MP_GRAPHS on,
-// plus a host-side launch-cost ladder showing that a warm replay's issuing
-// cost stays O(1) as the chunk count grows while the interpreted enqueue
-// work grows with it. Like plancache, the launch ladder reports wall-clock
-// numbers and is not expected to be byte-reproducible; the bandwidth cells
-// are deterministic simulated measurements.
-
-// GraphPoint is one (cluster, window, size) bandwidth comparison.
-type GraphPoint struct {
-	Cluster string  `json:"cluster"`
-	Window  int     `json:"window"`
-	Bytes   float64 `json:"bytes"`
-	// InterpretedBW / CompiledBW are achieved bytes/second through the
-	// eager engine and through compiled-graph replay.
-	InterpretedBW float64 `json:"interpreted_bw"`
-	CompiledBW    float64 `json:"compiled_bw"`
-	// SpeedupPct is 100 * (compiled/interpreted - 1).
-	SpeedupPct float64 `json:"speedup_pct"`
-}
-
-// GraphLaunchPoint is one rung of the launch-cost ladder at a fixed
-// message size and growing per-path chunk count.
-type GraphLaunchPoint struct {
-	Chunks int `json:"chunks"`
-	// Nodes is the compiled graph's node count (grows with chunks).
-	Nodes int `json:"graph_nodes"`
-	// LaunchNs is the wall-clock cost of one warm GraphExec.Launch call —
-	// the O(1) claim: flat in Chunks and Nodes.
-	LaunchNs float64 `json:"compiled_launch_ns"`
-	// ReplayNsPerOp is launch plus event-drain wall time per transfer.
-	ReplayNsPerOp float64 `json:"compiled_ns_per_op"`
-	// InterpNsPerOp is eager enqueue plus event-drain wall time per
-	// transfer.
-	InterpNsPerOp float64 `json:"interpreted_ns_per_op"`
-}
-
-// GraphSizes is the message sweep for the graphs experiment: it extends
-// the paper grid downward to 256 KiB because small and medium messages are
-// where the eliminated per-chunk ε and per-path α overheads dominate.
-func GraphSizes() []float64 {
+// graphSizes is the message sweep of the compiled-graph comparison: it
+// extends the paper grid downward to 256 KiB because small and medium
+// messages are where the eliminated per-chunk ε and per-path α overheads
+// dominate.
+func graphSizes() []float64 {
 	var sizes []float64
 	for n := 256 * hw.KiB; n <= 64*hw.MiB; n *= 2 {
 		sizes = append(sizes, float64(n))
@@ -63,21 +20,15 @@ func GraphSizes() []float64 {
 	return sizes
 }
 
-// graphLaunchChunks is the chunk-count ladder of the launch-cost panel.
-var graphLaunchChunks = []int{2, 8, 32, 128}
-
-// GraphsBench runs the compiled-vs-interpreted comparison over the
-// cluster × window grid and the launch-cost ladder.
-func GraphsBench(opts Options) (*Figure, []GraphPoint, []GraphLaunchPoint, error) {
-	sizes := opts.Sizes
-	if len(sizes) == 0 {
-		sizes = GraphSizes()
-	}
+// ExtGraphs quantifies the compiled-transfer-graph fast path: the same OMB
+// bandwidth sweep run twice per (cluster, window) cell, once through the
+// eager (interpreted) engine and once with UCX_MP_GRAPHS on. Both series
+// are simulated time, so the figure is deterministic.
+func ExtGraphs(opts Options) (*Figure, error) {
 	fig := &Figure{
-		ID:      "graphs",
-		Caption: "Compiled transfer graphs: interpreted vs single-launch replay",
+		ID:      "ext-graphs",
+		Caption: "Extension: compiled transfer graphs, interpreted vs single-launch replay",
 	}
-
 	type gridPoint struct {
 		cluster string
 		window  int
@@ -89,47 +40,30 @@ func GraphsBench(opts Options) (*Figure, []GraphPoint, []GraphLaunchPoint, error
 		}
 	}
 	panels := make([]*Panel, len(grid))
-	cells := make([][]GraphPoint, len(grid))
 	err := par.ForEach(len(grid), opts.Workers, func(i int) error {
-		g := grid[i]
-		panel, pts, err := graphBandwidthPanel(g.cluster, g.window, sizes, opts)
-		if err != nil {
-			return err
-		}
+		panel, err := graphBandwidthPanel(grid[i].cluster, grid[i].window, opts)
 		panels[i] = panel
-		cells[i] = pts
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	var points []GraphPoint
-	for i, panel := range panels {
+	for _, panel := range panels {
 		fig.Panels = append(fig.Panels, *panel)
-		points = append(points, cells[i]...)
 	}
-
-	cluster := "beluga"
-	if len(opts.Clusters) > 0 {
-		cluster = opts.Clusters[0]
-	}
-	launch, launchPanel, err := graphLaunchScaling(cluster, opts.Iters)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	fig.Panels = append(fig.Panels, *launchPanel)
-	return fig, points, launch, nil
+	return fig, nil
 }
 
 // graphBandwidthPanel measures one (cluster, window) cell: the OMB
 // unidirectional sweep with graphs off, then on. The warmup iteration
 // heats the graph cache, so the measured compiled iterations are warm
 // replays (hash → replay, no compile in the timed window).
-func graphBandwidthPanel(cluster string, window int, sizes []float64, opts Options) (*Panel, []GraphPoint, error) {
+func graphBandwidthPanel(cluster string, window int, opts Options) (*Panel, error) {
 	spec, err := specFor(cluster)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	sizes := graphSizes()
 	base := omb.DefaultP2PConfig(spec)
 	base.Window = window
 	base.Warmup = opts.Warmup
@@ -140,23 +74,20 @@ func graphBandwidthPanel(cluster string, window int, sizes []float64, opts Optio
 
 	interp, err := omb.BW(base, sizes)
 	if err != nil {
-		return nil, nil, fmt.Errorf("exp: graphs interpreted (%s win=%d): %w", cluster, window, err)
+		return nil, fmt.Errorf("exp: graphs interpreted (%s win=%d): %w", cluster, window, err)
 	}
 	cfg := base
 	cfg.UCX.GraphsEnable = true
 	compiled, err := omb.BW(cfg, sizes)
 	if err != nil {
-		return nil, nil, fmt.Errorf("exp: graphs compiled (%s win=%d): %w", cluster, window, err)
+		return nil, fmt.Errorf("exp: graphs compiled (%s win=%d): %w", cluster, window, err)
 	}
 
 	panel := &Panel{
 		Title:  fmt.Sprintf("graphs on %s; win=%d", cluster, window),
 		YLabel: "bandwidth (GB/s)",
 	}
-	var (
-		si, sc, sp Series
-		points     []GraphPoint
-	)
+	var si, sc, sp Series
 	si.Name, sc.Name, sp.Name = "interpreted", "compiled", "speedup_%"
 	for i, n := range sizes {
 		ib, cb := interp[i].Bandwidth, compiled[i].Bandwidth
@@ -167,128 +98,7 @@ func graphBandwidthPanel(cluster string, window int, sizes []float64, opts Optio
 		si.Points = append(si.Points, Point{Bytes: n, Value: ib})
 		sc.Points = append(sc.Points, Point{Bytes: n, Value: cb})
 		sp.Points = append(sp.Points, Point{Bytes: n, Value: pct})
-		points = append(points, GraphPoint{
-			Cluster: cluster, Window: window, Bytes: n,
-			InterpretedBW: ib, CompiledBW: cb, SpeedupPct: pct,
-		})
 	}
 	panel.Series = []Series{si, sc, sp}
-	return panel, points, nil
-}
-
-// graphLaunchScaling measures host-side issuing cost as the per-path chunk
-// count grows: a plan with k fixed chunks is compiled once, then replayed,
-// and the wall-clock cost of the bare Launch call, the full replay
-// (launch + drain), and the eager equivalent are averaged over iterations.
-func graphLaunchScaling(cluster string, iters int) ([]GraphLaunchPoint, *Panel, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	// Scale repetitions so each rung averages over enough launches for a
-	// stable nanosecond estimate without dominating the experiment.
-	reps := 200 * iters
-
-	spec, err := specFor(cluster)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := sim.New()
-	node, err := hw.Build(s, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	rt := cuda.NewRuntime(node)
-	engine := pipeline.New(rt, pipeline.DefaultConfig())
-	sel, err := ucx.PathSetByName("2gpus")
-	if err != nil {
-		return nil, nil, err
-	}
-	paths, err := spec.EnumeratePaths(0, 1, sel)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var (
-		points     []GraphLaunchPoint
-		li, lr, ll Series
-	)
-	li.Name, lr.Name, ll.Name = "interpreted ns/op", "compiled ns/op", "launch ns"
-	for _, k := range graphLaunchChunks {
-		mo := core.DefaultOptions()
-		mo.ChunkRule = core.ChunksFixed
-		mo.FixedChunks = k
-		mo.MaxChunks = k
-		mo.MinChunkBytes = 1
-		model := core.NewModel(core.SpecSource{Node: node}, mo)
-		pl, err := model.PlanTransfer(paths, float64(64*hw.MiB))
-		if err != nil {
-			return nil, nil, err
-		}
-		cp, err := engine.Compile(pl)
-		if err != nil {
-			return nil, nil, err
-		}
-
-		// Warm both paths once outside the timed windows.
-		if _, err := engine.ExecuteCompiled(cp); err != nil {
-			return nil, nil, err
-		}
-		if _, err := engine.Execute(pl); err != nil {
-			return nil, nil, err
-		}
-		if err := s.Run(); err != nil {
-			return nil, nil, err
-		}
-
-		// Bare launch calls: O(1) — snapshot + one scheduled kickoff.
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			cp.Exec().Launch()
-		}
-		launchNs := float64(time.Since(t0).Nanoseconds()) / float64(reps)
-		if err := s.Run(); err != nil {
-			return nil, nil, err
-		}
-
-		// Full replay: launch plus draining the DAG's events.
-		t0 = time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := engine.ExecuteCompiled(cp); err != nil {
-				return nil, nil, err
-			}
-			if err := s.Run(); err != nil {
-				return nil, nil, err
-			}
-		}
-		replayNs := float64(time.Since(t0).Nanoseconds()) / float64(reps)
-
-		// Eager equivalent: per-transfer stream/event enqueue plus drain.
-		t0 = time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := engine.Execute(pl); err != nil {
-				return nil, nil, err
-			}
-			if err := s.Run(); err != nil {
-				return nil, nil, err
-			}
-		}
-		interpNs := float64(time.Since(t0).Nanoseconds()) / float64(reps)
-		nodes := cp.Exec().Graph().NodeCount()
-		cp.Release()
-
-		points = append(points, GraphLaunchPoint{
-			Chunks: k, Nodes: nodes,
-			LaunchNs: launchNs, ReplayNsPerOp: replayNs, InterpNsPerOp: interpNs,
-		})
-		li.Points = append(li.Points, Point{Bytes: float64(k), Value: interpNs})
-		lr.Points = append(lr.Points, Point{Bytes: float64(k), Value: replayNs})
-		ll.Points = append(ll.Points, Point{Bytes: float64(k), Value: launchNs})
-	}
-	panel := &Panel{
-		Title:  "launch cost on " + cluster + " (64 MiB, 2gpus)",
-		YLabel: "ns",
-		XLabel: "chunks",
-		Series: []Series{li, lr, ll},
-	}
-	return points, panel, nil
+	return panel, nil
 }

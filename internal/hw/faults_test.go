@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -173,12 +174,13 @@ func TestValidateRejectsNegativeProps(t *testing.T) {
 		},
 		"pcie bandwidth": func(sp *Spec) { sp.PCIe[0].Bandwidth = -5 },
 		"mem bandwidth":  func(sp *Spec) { sp.Mem[0].Bandwidth = 0 },
+		"inf bandwidth":  func(sp *Spec) { sp.PCIe[1].Bandwidth = math.Inf(1) },
 		"mem latency":    func(sp *Spec) { sp.Mem[0].Latency = -0.5e-6 },
 		"sync overhead":  func(sp *Spec) { sp.GPUSyncOverhead = -1e-6 },
 	}
 	for name, mut := range cases {
 		if err := neg(mut); err == nil {
-			t.Errorf("%s: Validate accepted a negative/zero value", name)
+			t.Errorf("%s: Validate accepted an out-of-range value", name)
 		}
 	}
 }

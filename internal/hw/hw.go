@@ -11,6 +11,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -81,13 +82,31 @@ type Spec struct {
 	ShardHint int
 }
 
+// MaxDevices caps a topology's GPU count and its NUMA domain count. It
+// sits well above every preset (8 GPUs at most) and bounds what an
+// untrusted topology document can make the loader replicate and Build lay
+// out (routes grow with GPUs²).
+const MaxDevices = 128
+
+// checkCounts bounds a topology's GPU and NUMA domain counts.
+func checkCounts(name string, gpus, numas int) error {
+	if gpus < 2 {
+		return fmt.Errorf("hw: topology %q needs at least 2 GPUs, has %d", name, gpus)
+	}
+	if numas < 1 {
+		return fmt.Errorf("hw: topology %q needs at least 1 NUMA domain", name)
+	}
+	if gpus > MaxDevices || numas > MaxDevices {
+		return fmt.Errorf("hw: topology %q has %d GPUs and %d NUMA domains, at most %d of each",
+			name, gpus, numas, MaxDevices)
+	}
+	return nil
+}
+
 // Validate checks internal consistency of the spec.
 func (sp *Spec) Validate() error {
-	if sp.GPUs < 2 {
-		return fmt.Errorf("hw: topology %q needs at least 2 GPUs, has %d", sp.Name, sp.GPUs)
-	}
-	if sp.NUMAs < 1 {
-		return fmt.Errorf("hw: topology %q needs at least 1 NUMA domain", sp.Name)
+	if err := checkCounts(sp.Name, sp.GPUs, sp.NUMAs); err != nil {
+		return err
 	}
 	if len(sp.GPUNuma) != sp.GPUs {
 		return fmt.Errorf("hw: GPUNuma has %d entries, want %d", len(sp.GPUNuma), sp.GPUs)
@@ -169,8 +188,10 @@ func sortedPairs(m map[Pair]LinkProps) []Pair {
 // hand-written JSON topologies fail at load instead of producing silently
 // nonsensical plans.
 func (lp LinkProps) validate() error {
-	if lp.Bandwidth <= 0 {
-		return fmt.Errorf("non-positive bandwidth %v", lp.Bandwidth)
+	// A JSON bandwidth past about 1.8e299 GB/s converts to +Inf, which
+	// fluid.AddLink refuses with a panic.
+	if !(lp.Bandwidth > 0) || math.IsInf(lp.Bandwidth, 1) {
+		return fmt.Errorf("bandwidth %v is not positive and finite", lp.Bandwidth)
 	}
 	if lp.Latency < 0 {
 		return fmt.Errorf("negative latency %v", lp.Latency)

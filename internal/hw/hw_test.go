@@ -29,6 +29,19 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"mem len", func(s *Spec) { s.Mem = nil }},
 		{"bad nvlink pair", func(s *Spec) { s.NVLink[Pair{2, 1}] = LinkProps{Bandwidth: 1} }},
 		{"zero nvlink bw", func(s *Spec) { s.NVLink[Pair{0, 1}] = LinkProps{} }},
+		{"too many gpus", func(s *Spec) {
+			for len(s.GPUNuma) <= MaxDevices {
+				s.GPUNuma = append(s.GPUNuma, 0)
+				s.PCIe = append(s.PCIe, s.PCIe[0])
+			}
+			s.GPUs = len(s.GPUNuma)
+		}},
+		{"too many numas", func(s *Spec) {
+			for len(s.Mem) <= MaxDevices {
+				s.Mem = append(s.Mem, s.Mem[0])
+			}
+			s.NUMAs = len(s.Mem)
+		}},
 		{"nvlink peers across numa without inter", func(s *Spec) {
 			s.NUMAs = 2
 			s.GPUNuma = []int{0, 0, 1, 1}

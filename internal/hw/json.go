@@ -47,14 +47,19 @@ func (p propsJSON) toProps() LinkProps {
 }
 
 // SpecFromJSON parses a topology description. Single-entry PCIe or Mem
-// lists are replicated across all GPUs / NUMA domains. The result is
-// validated before being returned.
+// lists are replicated across all GPUs / NUMA domains, at most MaxDevices
+// of each. The result is validated before being returned.
 func SpecFromJSON(r io.Reader) (*Spec, error) {
 	var sj specJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sj); err != nil {
 		return nil, fmt.Errorf("hw: decode topology: %w", err)
+	}
+	// The counts decide how far single entries replicate: bound them
+	// before anything is allocated from them.
+	if err := checkCounts(sj.Name, sj.GPUs, sj.NUMAs); err != nil {
+		return nil, err
 	}
 	sp := &Spec{
 		Name:             sj.Name,

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +191,34 @@ func TestReloadRejectsNUMASplitWithoutInter(t *testing.T) {
 		`{"cluster":"narval","src":0,"dst":3,"bytes":67108864,"pathset":"all"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("host-path plan after the refused reload: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestPutOversizeTopologyAllocatesLittle checks that a small PUT body
+// announcing a million GPUs is refused as malformed_spec before the loader
+// replicates its single pcie entry per announced GPU.
+func TestPutOversizeTopologyAllocatesLittle(t *testing.T) {
+	srv, _ := newTestServer(t)
+	body := `{"name":"huge","gpus":1000000,"numas":1,"gpu_numa":[0,0],` +
+		`"pcie":[{"bandwidth_gbps":16,"latency_us":1}],"mem":[{"bandwidth_gbps":50,"latency_us":0.1}]}`
+	req := httptest.NewRequest("PUT", "/v1/clusters/huge", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a %d-byte body announcing 10^6 GPUs allocated %d bytes", len(body), alloc)
+	}
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want %d (%s)", rec.Code, http.StatusBadRequest, rec.Body)
+	}
+	var env v1.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("not an error envelope: %s", rec.Body)
+	}
+	if env.Error.Code != v1.ErrCodeMalformedSpec {
+		t.Fatalf("code = %q, want %q (%s)", env.Error.Code, v1.ErrCodeMalformedSpec, env.Error.Message)
 	}
 }
 
@@ -449,6 +478,46 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	if resp.Error != nil || resp.Batch == nil || len(resp.Batch.Results) != 1 || !(resp.Batch.Results[0].PredictedSeconds > 0) {
 		t.Fatalf("frame with an unknown item field = %s", payload)
+	}
+}
+
+// TestTCPOversizeAnswerRefusedInBand sends a detail batch of the default
+// item limit, whose answer (about 49 MB) does not fit in one frame, then a
+// small plan on the same connection: the first is answered
+// batch_too_large and the second is planned.
+func TestTCPOversizeAnswerRefusedInBand(t *testing.T) {
+	srv, _ := newTestServer(t, "beluga")
+	srv.maxBatch = DefaultMaxBatchItems
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := NewTCPServer(srv)
+	go func() { _ = ts.Serve(ln) }()
+	t.Cleanup(func() { _ = ts.Close() })
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	items := make([]v1.BatchItem, DefaultMaxBatchItems)
+	for i := range items {
+		items[i] = v1.BatchItem{Src: 0, Dst: 1, Bytes: 1 << 26}
+	}
+	resp, err := RoundTripTCP(conn, &v1.TCPRequest{Batch: &v1.BatchRequest{Cluster: "beluga", Items: items, Detail: true}})
+	if err != nil {
+		t.Fatalf("oversize answer: %v", err)
+	}
+	if resp.Error == nil || resp.Error.Code != v1.ErrCodeBatchTooLarge || resp.Batch != nil {
+		t.Fatalf("oversize answer = %+v", resp.Error)
+	}
+	resp, err = RoundTripTCP(conn, &v1.TCPRequest{Plan: &v1.PlanRequest{Cluster: "beluga", Src: 0, Dst: 1, Bytes: 1 << 26}})
+	if err != nil {
+		t.Fatalf("plan after the oversize answer: %v", err)
+	}
+	if resp.Error != nil || resp.Plan == nil || resp.Plan.PredictedSeconds <= 0 {
+		t.Fatalf("plan after the oversize answer = %+v err=%+v", resp.Plan, resp.Error)
 	}
 }
 

@@ -23,6 +23,9 @@ import (
 // default — a frame is one request document).
 const maxFrameBytes = 32 << 20
 
+// errFrameTooLarge reports an answer that does not fit in one frame.
+var errFrameTooLarge = errors.New("serve: answer exceeds the frame size limit")
+
 // TCPServer serves the v1 fast path on a listener.
 type TCPServer struct {
 	srv *Server
@@ -96,7 +99,15 @@ func (ts *TCPServer) serveConn(conn net.Conn) {
 			// the framing protocol has no in-band way to report them.
 			return
 		}
-		c.out, err = appendFrame(c.out[:0], ts.handleFrame(&c, payload))
+		resp := ts.handleFrame(&c, payload)
+		c.out, err = appendFrame(c.out[:0], resp)
+		if errors.Is(err, errFrameTooLarge) {
+			// An answer past the frame limit (a large detail batch) is
+			// refused in-band like any other oversized batch.
+			*resp = v1.TCPResponse{Version: v1.Version,
+				Error: &v1.ErrorBody{Code: v1.ErrCodeBatchTooLarge, Message: err.Error()}}
+			c.out, err = appendFrame(c.out[:0], resp)
+		}
 		if err != nil {
 			return
 		}
@@ -140,8 +151,8 @@ func (ts *TCPServer) handleFrame(c *codec, payload []byte) *v1.TCPResponse {
 }
 
 // RoundTripTCP writes one request frame and reads its response — the
-// minimal client side of the fast path, used by tests and the load
-// driver. The conn must not be shared between concurrent round trips.
+// minimal client side of the fast path. The conn must not be shared
+// between concurrent round trips.
 func RoundTripTCP(conn net.Conn, req *v1.TCPRequest) (*v1.TCPResponse, error) {
 	frame, err := appendFrame(nil, req)
 	if err != nil {
@@ -202,7 +213,7 @@ func appendFrame(b []byte, doc any) ([]byte, error) {
 	}
 	n := len(b) - start - 4
 	if n > maxFrameBytes {
-		return b[:start], fmt.Errorf("serve: response frame of %d bytes exceeds limit", n)
+		return b[:start], fmt.Errorf("%w (%d bytes, limit %d)", errFrameTooLarge, n, maxFrameBytes)
 	}
 	binary.BigEndian.PutUint32(b[start:], uint32(n))
 	return b, nil

@@ -124,20 +124,19 @@ func TestCountersSurviveConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			last := 0
+			var last int64
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				if p := ctx.Puts(); p < last {
+				if p := ctx.StatsSnapshot().Puts; p < last {
 					t.Errorf("Puts went backwards: %d -> %d", last, p)
 					return
 				} else {
 					last = p
 				}
-				_ = ctx.IpcOpens()
 			}
 		}()
 	}
@@ -152,10 +151,11 @@ func TestCountersSurviveConcurrentReads(t *testing.T) {
 	if err := ctx.Runtime().Sim().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.Puts(); got != puts {
-		t.Fatalf("Puts = %d, want %d", got, puts)
+	st := ctx.StatsSnapshot()
+	if st.Puts != puts {
+		t.Fatalf("Puts = %d, want %d", st.Puts, puts)
 	}
-	if got := ctx.IpcOpens(); got != 1 {
-		t.Fatalf("IpcOpens = %d, want 1 (translation cache)", got)
+	if st.IpcOpens != 1 {
+		t.Fatalf("IpcOpens = %d, want 1 (translation cache)", st.IpcOpens)
 	}
 }

@@ -62,9 +62,9 @@ func TestFailoverPermanentStagingFailure(t *testing.T) {
 	if req.Failovers < 1 {
 		t.Fatalf("failovers = %d, want ≥ 1", req.Failovers)
 	}
-	if ctx.Retries() != req.Retries || ctx.Failovers() != req.Failovers {
+	if st := ctx.StatsSnapshot(); st.Retries != int64(req.Retries) || st.Failovers != int64(req.Failovers) {
 		t.Fatalf("context counters %d/%d != request %d/%d",
-			ctx.Retries(), ctx.Failovers(), req.Retries, req.Failovers)
+			st.Retries, st.Failovers, req.Retries, req.Failovers)
 	}
 	// The re-plan must not route through the dead staging hop.
 	for _, pp := range req.Plan.ActivePaths() {
@@ -113,7 +113,7 @@ func TestFailoverDisabledSurfacesError(t *testing.T) {
 	if !errors.Is(req.Done.Err(), fluid.ErrLinkDown) {
 		t.Fatalf("err = %v, want ErrLinkDown", req.Done.Err())
 	}
-	if req.Retries != 0 || ctx.Retries() != 0 {
+	if req.Retries != 0 || ctx.StatsSnapshot().Retries != 0 {
 		t.Fatal("retries counted with failover disabled")
 	}
 }

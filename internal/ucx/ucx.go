@@ -437,33 +437,6 @@ func (c *Context) Runtime() *cuda.Runtime { return c.rt }
 // Config returns the active configuration.
 func (c *Context) Config() Config { return c.cfg }
 
-// The per-counter accessors below are retained as thin wrappers over the
-// unified StatsSnapshot document (obs.go), which is the one statistics
-// surface: the JSON shape served by mpserve's /v1/stats and printed by
-// mpbench's run footer. New code should take one snapshot and read its
-// fields instead of polling counters one at a time.
-
-// IpcOpens reports how many IPC handle opens were performed (cache misses).
-//
-// Deprecated: read StatsSnapshot().IpcOpens instead.
-func (c *Context) IpcOpens() int { return int(c.StatsSnapshot().IpcOpens) }
-
-// Puts reports the number of Put operations issued.
-//
-// Deprecated: read StatsSnapshot().Puts instead.
-func (c *Context) Puts() int { return int(c.StatsSnapshot().Puts) }
-
-// Retries reports how many failed transfer attempts were re-planned and
-// re-executed by the failover machinery.
-//
-// Deprecated: read StatsSnapshot().Retries instead.
-func (c *Context) Retries() int { return int(c.StatsSnapshot().Retries) }
-
-// Failovers reports how many paths were excluded by failover re-plans.
-//
-// Deprecated: read StatsSnapshot().Failovers instead.
-func (c *Context) Failovers() int { return int(c.StatsSnapshot().Failovers) }
-
 // Observer returns the online recalibration observer, or nil when
 // Config.Recalibrate is off.
 func (c *Context) Observer() *core.Observer { return c.observer }

@@ -149,8 +149,8 @@ func TestIpcHandleCacheAmortizes(t *testing.T) {
 	if math.Abs(first-second-ctx.Config().IpcOpenCost) > 1e-9 {
 		t.Fatalf("difference %v != IpcOpenCost", first-second)
 	}
-	if ctx.IpcOpens() != 1 {
-		t.Fatalf("ipc opens = %d, want 1", ctx.IpcOpens())
+	if got := ctx.StatsSnapshot().IpcOpens; got != 1 {
+		t.Fatalf("ipc opens = %d, want 1", got)
 	}
 	// A different destination pays the open again.
 	ep2 := endpoint(t, ctx, 0, 2)
@@ -160,8 +160,8 @@ func TestIpcHandleCacheAmortizes(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.IpcOpens() != 2 {
-		t.Fatalf("ipc opens = %d, want 2", ctx.IpcOpens())
+	if got := ctx.StatsSnapshot().IpcOpens; got != 2 {
+		t.Fatalf("ipc opens = %d, want 2", got)
 	}
 }
 
@@ -296,8 +296,8 @@ func TestPutCountsTracked(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Puts() != 3 {
-		t.Fatalf("puts = %d, want 3", ctx.Puts())
+	if got := ctx.StatsSnapshot().Puts; got != 3 {
+		t.Fatalf("puts = %d, want 3", got)
 	}
 }
 

@@ -83,29 +83,26 @@ for target in FuzzDecodeBatch FuzzEncodeBatch; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/serve
 done
 
+# Topology documents cross the same trust boundary (PUT /v1/clusters):
+# whatever SpecFromJSON accepts must build and plan without panicking. A
+# crasher lands in internal/hw/testdata/fuzz/.
+echo "==> go test -fuzz (topology JSON, 10 s)"
+go test -run '^$' -fuzz '^FuzzSpecFromJSON$' -fuzztime 10s ./internal/hw
+
+# The figure contract: every printed table of the paper figures, the
+# extensions and Observation 2 is byte-identical to its checked-in
+# results file. The full grid fans over one worker per CPU.
+echo "==> mpbench figure tables vs results_{full,ext,obs2}.txt"
+go build -o bin/mpbench ./cmd/mpbench
+./bin/mpbench -exp all -parallel | cmp - results_full.txt
+./bin/mpbench -exp ext | cmp - results_ext.txt
+./bin/mpbench -exp obs2 | cmp - results_obs2.txt
+
 # Shard smoke: one reduced repetition of the fleet + single-component
 # ladders, proving the sharded experiment (and its checksum-equality
 # enforcement across worker and shard counts) runs end to end.
 echo "==> mpbench -exp shard smoke (quick ladders)"
-go run ./cmd/mpbench -exp shard -quick -shard-json ""
-
-# Compiled-graph smoke: one size on one cluster through both engines plus
-# the launch ladder, proving the graphs experiment runs end to end without
-# regenerating the full BENCH_graphs.json grid.
-echo "==> mpbench -exp graphs smoke (1 size x 1 cluster)"
-go run ./cmd/mpbench -exp graphs -quick -graphs-json ""
-
-# Observability smoke: the overhead probe on one size plus a traced
-# fault-rich run validated for schema and byte-determinism by the exp
-# tests; here just prove the experiment and exporter run end to end.
-echo "==> mpbench -exp obs smoke (1 size, trace export)"
-go run ./cmd/mpbench -exp obs -quick -obs-json "" -trace /tmp/mp_verify_trace.json >/dev/null
-rm -f /tmp/mp_verify_trace.json
-
-# Serving smoke: the wire benchmark exercises the daemon stack in-process
-# (both clusters, HTTP single + batch + TCP framing) with reduced volume.
-echo "==> mpbench -exp serve smoke (reduced replay)"
-go run ./cmd/mpbench -exp serve -quick -serve-json "" >/dev/null
+./bin/mpbench -exp shard -quick -shard-json ""
 
 # Daemon smoke: start mpserve on a random port, round-trip one batch over
 # the real binary's HTTP API, and check /v1/stats reports both clusters.
