@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-wire bench bench-shard verify
+.PHONY: build test race vet lint lint-wire bench verify
 
 build:
 	$(GO) build ./...
@@ -49,11 +49,3 @@ bench:
 	$(GO) test -bench 'BenchmarkScheduleRun|BenchmarkCancelRescheduleChurn' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench 'BenchmarkEagerStagedTransfer|BenchmarkGraphReplay' -benchmem -run xxx ./internal/pipeline/
 	$(GO) test -bench 'BenchmarkParallelSweep|BenchmarkPlanCacheHit' -benchmem -run xxx .
-
-# bench-shard measures the sharded parallel engine against the fused
-# sequential baseline on an 8-node fleet, plus the single-component
-# overhead ladder (shards 1/2/8 vs the plain engine), and regenerates
-# BENCH_shard.json. Checksums across all configurations are asserted
-# equal — the run fails on any determinism violation.
-bench-shard:
-	$(GO) run ./cmd/mpbench -exp shard -shard-json BENCH_shard.json

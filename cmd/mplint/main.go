@@ -32,8 +32,6 @@
 //	                (checked against the committed v1.lock.json)
 //	lockdiscipline  no copied mutexes, locked early returns, or fields
 //	                guarded by a mutex only sometimes
-//	shardpost       no cross-shard Post with a delay not provably >= the
-//	                cluster lookahead
 //
 // A finding that is a considered exception is silenced in place with
 //
@@ -55,7 +53,6 @@ import (
 	"repro/internal/analysis/errchecksim"
 	"repro/internal/analysis/lockdiscipline"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/shardpost"
 	"repro/internal/analysis/simtaint"
 	"repro/internal/analysis/simtime"
 	"repro/internal/analysis/units"
@@ -68,7 +65,6 @@ var Suite = []*analysis.Analyzer{
 	errchecksim.Analyzer,
 	lockdiscipline.Analyzer,
 	maporder.Analyzer,
-	shardpost.Analyzer,
 	simtaint.Analyzer,
 	simtime.Analyzer,
 	units.Analyzer,

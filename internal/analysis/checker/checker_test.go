@@ -13,7 +13,6 @@ import (
 	"repro/internal/analysis/errchecksim"
 	"repro/internal/analysis/lockdiscipline"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/shardpost"
 	"repro/internal/analysis/simtaint"
 	"repro/internal/analysis/simtime"
 	"repro/internal/analysis/units"
@@ -26,7 +25,6 @@ var suite = []*analysis.Analyzer{
 	errchecksim.Analyzer,
 	lockdiscipline.Analyzer,
 	maporder.Analyzer,
-	shardpost.Analyzer,
 	simtaint.Analyzer,
 	simtime.Analyzer,
 	units.Analyzer,

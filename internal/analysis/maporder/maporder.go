@@ -32,19 +32,14 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // schedulers are method names that order simulator work; calling one
-// per map entry interleaves same-timestamp events in map order. At and
-// Post are the shard engine's entry points: At is absolute-time
-// scheduling (the epoch router's delivery call) and Post routes an event
-// to another shard — both assign sequence numbers in call order, so map
-// order would leak straight into the deterministic-merge tie-break. The
-// Handler forms order work the same way as their func forms, and OnFire
-// registration order is the order a signal's waiters are scheduled in
-// when it fires.
+// per map entry interleaves same-timestamp events in map order, since
+// each call takes the next sequence number. The Handler forms order work
+// the same way as their func forms, and OnFire registration order is the
+// order a signal's waiters are scheduled in when it fires.
 var schedulers = map[string]bool{
 	"Schedule":        true,
 	"ScheduleAt":      true,
 	"At":              true,
-	"Post":            true,
 	"ScheduleHandler": true,
 	"AtHandler":       true,
 	"OnFire":          true,

@@ -88,10 +88,6 @@ type Options struct {
 	// produced figures are identical to a sequential run; only wall-clock
 	// changes. 0 or 1 means sequential.
 	Workers int
-	// Shards overrides the fleet shard count for the shard experiment
-	// (0 = one shard per node). mpbench seeds it from UCX_MP_SHARDS /
-	// -shards; results are byte-identical for every value by construction.
-	Shards int
 }
 
 // DefaultOptions reproduces the paper's full grid.

@@ -238,7 +238,6 @@ type Network struct {
 	flows     []*Flow // active flows in start (seq) order
 	flowSeq   uint64
 	settledAt sim.Time
-	label     string // diagnostic label (shard/node name in fleet builds)
 
 	// The dynamic component collected for the next rerate: its links and
 	// flows carry visit == stamp. rerate empties both and bumps stamp.
@@ -285,12 +284,9 @@ func (n *Network) StartFlow(bytes float64, route ...*Link) *Flow {
 	}
 	for i, l := range route {
 		if l.net != n {
-			// Boundary handling for sharded fleets: a route may never span
-			// two networks (rate allocation is a per-network fixpoint).
-			// Cross-shard transfers must be split at the boundary and the
-			// halves stitched with sim.(*Simulator).Post.
-			panic(fmt.Sprintf("fluid: route link %q belongs to a different network (network %q, link's %q); split cross-shard routes at the boundary",
-				l.name, n.label, l.net.label))
+			// Rate allocation is a per-network fixpoint: links that a route
+			// couples must live in one network.
+			panic(fmt.Sprintf("fluid: route link %q belongs to a different network", l.name))
 		}
 		for _, prev := range route[:i] {
 			if prev == l {

@@ -2,6 +2,7 @@ package hw_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -13,9 +14,10 @@ import (
 
 // FuzzSpecFromJSON feeds arbitrary topology documents to the loader, as
 // PUT /v1/clusters/{name} does. Every input is either refused with an
-// error, or it builds a node on which a bounded set of GPU pairs plans
-// without panicking, and every plan that succeeds predicts a positive,
-// finite time.
+// error, or it reloads from its own WriteJSON document bit for bit and
+// builds a node on which a bounded set of GPU pairs plans without
+// panicking, and every plan that succeeds predicts a positive, finite
+// time.
 func FuzzSpecFromJSON(f *testing.F) {
 	for _, mk := range hw.Presets {
 		var doc bytes.Buffer
@@ -36,6 +38,19 @@ func FuzzSpecFromJSON(f *testing.F) {
 		sp, err := hw.SpecFromJSON(bytes.NewReader(doc))
 		if err != nil {
 			return
+		}
+		// %+v prints each float in its shortest round-trip form (-0
+		// included), so equal text means equal bits.
+		var own bytes.Buffer
+		if err := sp.WriteJSON(&own); err != nil {
+			t.Fatalf("accepted spec does not write: %v", err)
+		}
+		again, err := hw.SpecFromJSON(&own)
+		if err != nil {
+			t.Fatalf("own document refused: %v", err)
+		}
+		if want, have := fmt.Sprintf("%+v", *sp), fmt.Sprintf("%+v", *again); have != want {
+			t.Fatalf("reload differs\n got %s\nwant %s", have, want)
 		}
 		node, err := hw.Build(sim.New(), sp)
 		if err != nil {

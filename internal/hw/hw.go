@@ -75,11 +75,6 @@ type Spec struct {
 	GPUSyncOverhead float64
 	// HostSyncOverhead is epsilon for synchronizing a host-staged chunk.
 	HostSyncOverhead float64
-	// ShardHint is the 1-based preferred shard for BuildFleet: a node built
-	// from this spec lands on shard (ShardHint-1) mod shards. The zero value
-	// means no preference (round-robin by node index). It does not affect
-	// single-node builds.
-	ShardHint int
 }
 
 // MaxDevices caps a topology's GPU count and its NUMA domain count. It
@@ -162,9 +157,6 @@ func (sp *Spec) Validate() error {
 	if sp.GPUSyncOverhead < 0 || sp.HostSyncOverhead < 0 {
 		return fmt.Errorf("hw: topology %q has negative sync overhead", sp.Name)
 	}
-	if sp.ShardHint < 0 {
-		return fmt.Errorf("hw: topology %q has negative shard hint %d (0 = no preference, k = shard k-1)", sp.Name, sp.ShardHint)
-	}
 	return nil
 }
 
@@ -188,8 +180,7 @@ func sortedPairs(m map[Pair]LinkProps) []Pair {
 // hand-written JSON topologies fail at load instead of producing silently
 // nonsensical plans.
 func (lp LinkProps) validate() error {
-	// A JSON bandwidth past about 1.8e299 GB/s converts to +Inf, which
-	// fluid.AddLink refuses with a panic.
+	// fluid.AddLink refuses an infinite bandwidth with a panic.
 	if !(lp.Bandwidth > 0) || math.IsInf(lp.Bandwidth, 1) {
 		return fmt.Errorf("bandwidth %v is not positive and finite", lp.Bandwidth)
 	}

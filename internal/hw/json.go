@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"strconv"
+	"strings"
 )
 
 // specJSON is the serialized topology format. Bandwidths are in GB/s and
 // latencies in microseconds — the units vendor documentation quotes — so
-// hand-written files stay legible; they are converted on load.
+// hand-written files stay legible. Each value is kept as its decimal text
+// (unitNum), and a unit conversion moves the decimal exponent, so a
+// document written by WriteJSON loads back bit for bit.
 type specJSON struct {
 	Name    string `json:"name"`
 	GPUs    int    `json:"gpus"`
@@ -24,11 +27,8 @@ type specJSON struct {
 	// Inter entries connect NUMA pairs.
 	Inter []linkJSON `json:"inter"`
 
-	GPUSyncOverheadUs  float64 `json:"gpu_sync_overhead_us"`
-	HostSyncOverheadUs float64 `json:"host_sync_overhead_us"`
-	// ShardHint is the 1-based preferred shard for fleet builds
-	// (0 / omitted = no preference).
-	ShardHint int `json:"shard_hint,omitempty"`
+	GPUSyncOverheadUs  unitNum `json:"gpu_sync_overhead_us"`
+	HostSyncOverheadUs unitNum `json:"host_sync_overhead_us"`
 }
 
 type linkJSON struct {
@@ -38,12 +38,101 @@ type linkJSON struct {
 }
 
 type propsJSON struct {
-	BandwidthGBps float64 `json:"bandwidth_gbps"`
-	LatencyUs     float64 `json:"latency_us"`
+	BandwidthGBps unitNum `json:"bandwidth_gbps"`
+	LatencyUs     unitNum `json:"latency_us"`
 }
 
-func (p propsJSON) toProps() LinkProps {
-	return LinkProps{Bandwidth: p.BandwidthGBps * GBps, Latency: p.LatencyUs * 1e-6}
+// Decimal exponents of the document units in base units: a microsecond
+// is 1e-6 s and a GB/s is 1e9 B/s (GBps).
+const (
+	usExp   = -6
+	gbpsExp = 9
+)
+
+// unitNum is a JSON number in a document unit, kept as its decimal text.
+// The empty text (field omitted or null) reads as 0.
+type unitNum string
+
+// UnmarshalJSON takes a number literal as it stands; any other JSON value
+// but null is refused.
+func (u *unitNum) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	if b[0] != '-' && (b[0] < '0' || b[0] > '9') {
+		return fmt.Errorf("hw: %s is not a number", b)
+	}
+	*u = unitNum(b)
+	return nil
+}
+
+// MarshalJSON writes the text as it stands.
+func (u unitNum) MarshalJSON() ([]byte, error) { return []byte(u), nil }
+
+// base reads the number in base units, where one document unit is
+// 10^exp base units: the exponent moves by exp in the text, and the result
+// is rounded once, by strconv.ParseFloat.
+func (u unitNum) base(key string, exp int) (float64, error) {
+	if u == "" {
+		return 0, nil
+	}
+	text := string(u)
+	if i := strings.IndexAny(text, "eE"); i < 0 {
+		text += "e" + strconv.Itoa(exp)
+	} else if e, err := strconv.Atoi(text[i+1:]); err == nil {
+		text = text[:i] + "e" + strconv.Itoa(e+exp)
+	}
+	// An exponent past the int range stays as it is: strconv saturates
+	// exponents long before that, so the shift could not change the result.
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return 0, fmt.Errorf("hw: %s %s is out of range", key, u)
+	}
+	return v, nil
+}
+
+// toUnit writes v base units in a document unit of 10^exp base units: the
+// shortest digits that read back as v, with the decimal exponent moved by
+// -exp, printed like encoding/json prints a float.
+func toUnit(v float64, exp int) unitNum {
+	if v == 0 {
+		return unitNum(strconv.FormatFloat(v, 'g', -1, 64)) // 0 or -0
+	}
+	s := strconv.FormatFloat(v, 'e', -1, 64) // [-]d[.ddd]e±xx
+	i := strings.IndexByte(s, 'e')
+	if i < 0 {
+		return unitNum(s) // NaN or Inf: the encoder refuses it
+	}
+	e, _ := strconv.Atoi(s[i+1:])
+	e -= exp
+	if e < -6 || e >= 21 {
+		return unitNum(fmt.Sprintf("%se%+d", s[:i], e))
+	}
+	sign, digits := "", strings.Replace(s[:i], ".", "", 1)
+	if digits[0] == '-' {
+		sign, digits = "-", digits[1:]
+	}
+	switch {
+	case e < 0:
+		return unitNum(sign + "0." + strings.Repeat("0", -e-1) + digits)
+	case len(digits) <= e+1:
+		return unitNum(sign + digits + strings.Repeat("0", e+1-len(digits)))
+	default:
+		return unitNum(sign + digits[:e+1] + "." + digits[e+1:])
+	}
+}
+
+func (p propsJSON) toProps() (LinkProps, error) {
+	bw, err := p.BandwidthGBps.base("bandwidth_gbps", gbpsExp)
+	if err != nil {
+		return LinkProps{}, err
+	}
+	lat, err := p.LatencyUs.base("latency_us", usExp)
+	return LinkProps{Bandwidth: bw, Latency: lat}, err
+}
+
+func fromProps(lp LinkProps) propsJSON {
+	return propsJSON{BandwidthGBps: toUnit(lp.Bandwidth, gbpsExp), LatencyUs: toUnit(lp.Latency, usExp)}
 }
 
 // SpecFromJSON parses a topology description. Single-entry PCIe or Mem
@@ -62,45 +151,35 @@ func SpecFromJSON(r io.Reader) (*Spec, error) {
 		return nil, err
 	}
 	sp := &Spec{
-		Name:             sj.Name,
-		GPUs:             sj.GPUs,
-		NUMAs:            sj.NUMAs,
-		GPUNuma:          sj.GPUNuma,
-		NVLink:           make(map[Pair]LinkProps, len(sj.NVLink)),
-		Inter:            make(map[Pair]LinkProps, len(sj.Inter)),
-		GPUSyncOverhead:  sj.GPUSyncOverheadUs * 1e-6,
-		HostSyncOverhead: sj.HostSyncOverheadUs * 1e-6,
-		ShardHint:        sj.ShardHint,
+		Name:    sj.Name,
+		GPUs:    sj.GPUs,
+		NUMAs:   sj.NUMAs,
+		GPUNuma: sj.GPUNuma,
+		NVLink:  make(map[Pair]LinkProps, len(sj.NVLink)),
+		Inter:   make(map[Pair]LinkProps, len(sj.Inter)),
+	}
+	var err error
+	if sp.GPUSyncOverhead, err = sj.GPUSyncOverheadUs.base("gpu_sync_overhead_us", usExp); err != nil {
+		return nil, err
+	}
+	if sp.HostSyncOverhead, err = sj.HostSyncOverheadUs.base("host_sync_overhead_us", usExp); err != nil {
+		return nil, err
 	}
 	for _, l := range sj.NVLink {
-		sp.NVLink[MakePair(l.A, l.B)] = l.toProps()
+		if sp.NVLink[MakePair(l.A, l.B)], err = l.toProps(); err != nil {
+			return nil, err
+		}
 	}
 	for _, l := range sj.Inter {
-		sp.Inter[MakePair(l.A, l.B)] = l.toProps()
+		if sp.Inter[MakePair(l.A, l.B)], err = l.toProps(); err != nil {
+			return nil, err
+		}
 	}
-	switch len(sj.PCIe) {
-	case sj.GPUs:
-		for _, p := range sj.PCIe {
-			sp.PCIe = append(sp.PCIe, p.toProps())
-		}
-	case 1:
-		for i := 0; i < sj.GPUs; i++ {
-			sp.PCIe = append(sp.PCIe, sj.PCIe[0].toProps())
-		}
-	default:
-		return nil, fmt.Errorf("hw: pcie has %d entries, want 1 or %d", len(sj.PCIe), sj.GPUs)
+	if sp.PCIe, err = perDevice("pcie", sj.PCIe, sj.GPUs); err != nil {
+		return nil, err
 	}
-	switch len(sj.Mem) {
-	case sj.NUMAs:
-		for _, m := range sj.Mem {
-			sp.Mem = append(sp.Mem, m.toProps())
-		}
-	case 1:
-		for i := 0; i < sj.NUMAs; i++ {
-			sp.Mem = append(sp.Mem, sj.Mem[0].toProps())
-		}
-	default:
-		return nil, fmt.Errorf("hw: mem has %d entries, want 1 or %d", len(sj.Mem), sj.NUMAs)
+	if sp.Mem, err = perDevice("mem", sj.Mem, sj.NUMAs); err != nil {
+		return nil, err
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -108,24 +187,41 @@ func SpecFromJSON(r io.Reader) (*Spec, error) {
 	return sp, nil
 }
 
-// WriteJSON serializes a spec in the SpecFromJSON format.
+// perDevice converts a list with one entry per device, or a single entry
+// that stands for all n devices.
+func perDevice(key string, list []propsJSON, n int) ([]LinkProps, error) {
+	if len(list) != n && len(list) != 1 {
+		return nil, fmt.Errorf("hw: %s has %d entries, want 1 or %d", key, len(list), n)
+	}
+	out := make([]LinkProps, len(list), n)
+	for i, p := range list {
+		var err error
+		if out[i], err = p.toProps(); err != nil {
+			return nil, err
+		}
+	}
+	for len(out) < n {
+		out = append(out, out[0])
+	}
+	return out, nil
+}
+
+// WriteJSON serializes a spec in the SpecFromJSON format. SpecFromJSON
+// reads the document back bit for bit.
 func (sp *Spec) WriteJSON(w io.Writer) error {
 	sj := specJSON{
 		Name:               sp.Name,
 		GPUs:               sp.GPUs,
 		NUMAs:              sp.NUMAs,
 		GPUNuma:            sp.GPUNuma,
-		GPUSyncOverheadUs:  canonicalUs(sp.GPUSyncOverhead),
-		HostSyncOverheadUs: canonicalUs(sp.HostSyncOverhead),
-		ShardHint:          sp.ShardHint,
+		GPUSyncOverheadUs:  toUnit(sp.GPUSyncOverhead, usExp),
+		HostSyncOverheadUs: toUnit(sp.HostSyncOverhead, usExp),
 	}
 	for _, p := range nvlinkPairs(sp) {
-		lp := sp.NVLink[p]
-		sj.NVLink = append(sj.NVLink, linkJSON{A: p.A, B: p.B, propsJSON: fromProps(lp)})
+		sj.NVLink = append(sj.NVLink, linkJSON{A: p.A, B: p.B, propsJSON: fromProps(sp.NVLink[p])})
 	}
 	for _, p := range interPairs(sp) {
-		lp := sp.Inter[p]
-		sj.Inter = append(sj.Inter, linkJSON{A: p.A, B: p.B, propsJSON: fromProps(lp)})
+		sj.Inter = append(sj.Inter, linkJSON{A: p.A, B: p.B, propsJSON: fromProps(sp.Inter[p])})
 	}
 	for _, lp := range sp.PCIe {
 		sj.PCIe = append(sj.PCIe, fromProps(lp))
@@ -136,49 +232,4 @@ func (sp *Spec) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sj)
-}
-
-func fromProps(lp LinkProps) propsJSON {
-	return propsJSON{
-		BandwidthGBps: canonical(lp.Bandwidth/GBps, func(g float64) float64 { return (g * GBps) / GBps }),
-		LatencyUs:     canonicalUs(lp.Latency),
-	}
-}
-
-// canonicalUs emits a seconds value in microseconds, stabilized against
-// the parser's µs→s conversion (the same double-rounding concern as
-// fromProps; sync overheads share the latency unit convention).
-func canonicalUs(seconds float64) float64 {
-	return canonical(seconds*1e6, func(u float64) float64 { return (u * 1e-6) * 1e6 })
-}
-
-// canonical iterates a written unit value to a stable point of one
-// load/store round trip. WriteJSON emits values in display units (GB/s,
-// µs); SpecFromJSON converts them back to base units, and a later
-// WriteJSON converts to display units again. Each conversion rounds, so a
-// raw quotient like bw/1e9 is not always reproduced by ((bw/1e9)*1e9)/1e9
-// — the second write could differ in the last ulp and hot-reload files
-// would drift. Emitting a stable point of the round-trip map instead makes
-// WriteJSON → SpecFromJSON → WriteJSON byte-stable by construction: the
-// value written is exactly the value a reload writes again. Most inputs
-// reach a fixed point in one or two steps; the remaining inputs fall into
-// a period-2 orbit {a, b} (double rounding flips the last ulp back and
-// forth), where both writers deterministically pick the smaller member —
-// a reload of min(a, b) re-enters the same orbit and picks the same
-// member again. Either way the emitted value is within one ulp of the raw
-// quotient — far below link-spec precision.
-func canonical(v float64, roundTrip func(float64) float64) float64 {
-	prev := math.NaN()
-	for i := 0; i < 8; i++ {
-		next := roundTrip(v)
-		if next == v {
-			return v
-		}
-		if next == prev {
-			return math.Min(prev, v)
-		}
-		prev = v
-		v = next
-	}
-	return v
 }

@@ -47,31 +47,70 @@ func TestSpecFromJSON(t *testing.T) {
 	}
 }
 
+// TestSpecJSONRoundTrip: every preset loads back from its own document
+// bit for bit. %+v prints each float in its shortest round-trip form (-0
+// included) and maps in key order, so equal text means equal bits.
 func TestSpecJSONRoundTrip(t *testing.T) {
-	orig := Narval()
-	var buf bytes.Buffer
-	if err := orig.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := SpecFromJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.GPUs != orig.GPUs || got.NUMAs != orig.NUMAs {
-		t.Fatalf("shape lost: %+v", got)
-	}
-	for p, want := range orig.NVLink {
-		lp, ok := got.NVLink[p]
-		if !ok {
-			t.Fatalf("nvlink pair %v lost", p)
+	for name, mk := range Presets {
+		orig := mk()
+		var buf bytes.Buffer
+		if err := orig.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(lp.Bandwidth-want.Bandwidth) > 1 {
-			t.Fatalf("pair %v bandwidth %v != %v", p, lp.Bandwidth, want.Bandwidth)
+		got, err := SpecFromJSON(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want, have := fmt.Sprintf("%+v", *orig), fmt.Sprintf("%+v", *got); have != want {
+			t.Errorf("%s: reload differs\n got %s\nwant %s", name, have, want)
 		}
 	}
-	for p := range orig.Inter {
-		if _, ok := got.Inter[p]; !ok {
-			t.Fatalf("inter pair %v lost", p)
+}
+
+// TestUnitText pins the document's unit conversions: written values are
+// the base value's shortest digits with the decimal exponent moved, and
+// read values are rounded once from the shifted text.
+func TestUnitText(t *testing.T) {
+	writes := []struct {
+		v    float64
+		exp  int
+		want unitNum
+	}{
+		{5e-6, usExp, "5"},
+		{1.8e-6, usExp, "1.8"},
+		{4e-7, usExp, "0.4"},
+		{1e-13, usExp, "1e-7"},
+		{12e9, gbpsExp, "12"},
+		{123456789012, gbpsExp, "123.456789012"},
+		{1e30, gbpsExp, "1e+21"},
+		{0, usExp, "0"},
+		{math.Copysign(0, -1), usExp, "-0"},
+	}
+	for _, w := range writes {
+		if got := toUnit(w.v, w.exp); got != w.want {
+			t.Errorf("toUnit(%v, %d) = %q, want %q", w.v, w.exp, got, w.want)
+		}
+	}
+	reads := []struct {
+		text unitNum
+		exp  int
+		want float64
+	}{
+		{"1.5", usExp, 1.5e-6},
+		{"1.5e6", usExp, 1.5},
+		{"12E-3", gbpsExp, 12e6},
+		{"1e-99999999999999999999", usExp, 0},
+		{"", usExp, 0},
+	}
+	for _, r := range reads {
+		got, err := r.text.base("x", r.exp)
+		if err != nil || got != r.want {
+			t.Errorf("%q.base(%d) = %v, %v; want %v", r.text, r.exp, got, err, r.want)
+		}
+	}
+	for _, text := range []unitNum{"1e300", "1e99999999999999999999"} {
+		if got, err := text.base("x", gbpsExp); err == nil {
+			t.Errorf("%q.base(%d) = %v, want an out-of-range error", text, gbpsExp, got)
 		}
 	}
 }
@@ -79,10 +118,12 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 func TestSpecFromJSONErrors(t *testing.T) {
 	cases := []string{
 		`{nope`, // syntax
-		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"unknown_field":1}`,                                        // unknown field
-		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"pcie":[],"mem":[{"bandwidth_gbps":1}]}`,                   // no pcie
-		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"pcie":[{"bandwidth_gbps":1}],"mem":[]}`,                   // no mem
-		`{"name":"x","gpus":1,"numas":1,"gpu_numa":[0],"pcie":[{"bandwidth_gbps":1}],"mem":[{"bandwidth_gbps":1}]}`, // too few gpus
+		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"unknown_field":1}`,                                                         // unknown field
+		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"pcie":[],"mem":[{"bandwidth_gbps":1}]}`,                                    // no pcie
+		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"pcie":[{"bandwidth_gbps":1}],"mem":[]}`,                                    // no mem
+		`{"name":"x","gpus":1,"numas":1,"gpu_numa":[0],"pcie":[{"bandwidth_gbps":1}],"mem":[{"bandwidth_gbps":1}]}`,                  // too few gpus
+		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"pcie":[{"bandwidth_gbps":1}],"mem":[{"bandwidth_gbps":1}],"shard_hint":1}`, // field no longer exists
+		`{"name":"x","gpus":2,"numas":1,"gpu_numa":[0,0],"pcie":[{"bandwidth_gbps":"1"}],"mem":[{"bandwidth_gbps":1}]}`,              // quoted number
 	}
 	for i, c := range cases {
 		if _, err := SpecFromJSON(strings.NewReader(c)); err == nil {
@@ -150,9 +191,10 @@ func TestSampleTopologyFileLoads(t *testing.T) {
 
 // TestSpecJSONByteStable is the hot-reload contract of the serving
 // registry: WriteJSON → SpecFromJSON → WriteJSON must reproduce the first
-// serialization byte for byte, for every preset and for randomized specs
-// whose link properties are arbitrary floats (where naive unit
-// conversion's double rounding would drift by an ulp).
+// serialization byte for byte, and the reloaded spec must equal the first
+// bit for bit, for every preset and for randomized specs whose link
+// properties are arbitrary floats (where a float multiply by the unit
+// would drift by an ulp).
 func TestSpecJSONByteStable(t *testing.T) {
 	check := func(t *testing.T, sp *Spec) {
 		t.Helper()
@@ -170,6 +212,9 @@ func TestSpecJSONByteStable(t *testing.T) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("round trip drifted:\n-- first --\n%s\n-- second --\n%s", first.String(), second.String())
+		}
+		if want, have := fmt.Sprintf("%+v", *sp), fmt.Sprintf("%+v", *got); have != want {
+			t.Fatalf("reload differs\n got %s\nwant %s", have, want)
 		}
 	}
 	for name, mk := range Presets {
@@ -197,7 +242,6 @@ func TestSpecJSONByteStable(t *testing.T) {
 				Inter:            map[Pair]LinkProps{},
 				GPUSyncOverhead:  rng.Float64() * 1e-5,
 				HostSyncOverhead: rng.Float64() * 1e-5,
-				ShardHint:        rng.Intn(3),
 			}
 			for g := 0; g < gpus; g++ {
 				sp.GPUNuma[g] = rng.Intn(numas)

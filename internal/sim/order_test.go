@@ -131,8 +131,8 @@ func (c *orderCheck) pending() int {
 
 // TestQueueOrderMatchesReference checks the heap+FIFO queue against a
 // reference that orders executed events by (at, seq), over randomized
-// schedules mixing every entry point, cancels (with compaction), inclusive
-// and exclusive run limits, and Stop mid-instant followed by more At(now).
+// schedules mixing every entry point, cancels (with compaction), run
+// limits, and Stop mid-instant followed by more At(now).
 func TestQueueOrderMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		c := &orderCheck{t: t, rng: rand.New(rand.NewSource(seed)), s: New(), budget: 600}
@@ -147,17 +147,14 @@ func TestQueueOrderMatchesReference(t *testing.T) {
 			mark := len(c.ran)
 			now := c.s.Now()
 			var err error
-			limit, inclusive := now, true
+			var limit float64
 			switch c.rng.Intn(4) {
 			case 0:
 				err = c.s.Run()
 				limit = 1e300
-			case 1:
+			case 1, 2:
 				limit = now + []float64{0, 0.5, 1}[c.rng.Intn(3)]
 				err = c.s.RunUntil(limit)
-			case 2:
-				limit, inclusive = now+[]float64{0, 0.5, 1}[c.rng.Intn(3)], false
-				err = c.s.runLimit(limit, false)
 			default:
 				limit = now + 0.25
 				err = c.s.RunUntil(limit)
@@ -166,13 +163,13 @@ func TestQueueOrderMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			for _, ev := range c.ran[mark:] {
-				if ev.at > limit || (!inclusive && ev.at == limit) {
-					t.Fatalf("seed %d: event at %v ran past limit %v (inclusive=%v)", seed, ev.at, limit, inclusive)
+				if ev.at > limit {
+					t.Fatalf("seed %d: event at %v ran past limit %v", seed, ev.at, limit)
 				}
 			}
 			if !c.stopped {
 				for _, ev := range c.evs {
-					if !ev.ran && !ev.canceled && (ev.at < limit || (inclusive && ev.at == limit)) {
+					if !ev.ran && !ev.canceled && ev.at <= limit {
 						t.Fatalf("seed %d: event seq %d at %v left queued by run to %v", seed, ev.seq, ev.at, limit)
 					}
 				}

@@ -93,59 +93,6 @@ func TestCancelDuringCallbackOfRecycledSelf(t *testing.T) {
 	}
 }
 
-// TestStaleHandleCancelAcrossClusterEpochs extends the ABA regression to
-// the sharded engine: a handle taken before an epoch must stay inert when
-// its struct is recycled by a cross-shard event the router delivered into
-// the same pool in a later epoch — even after several recycles.
-func TestStaleHandleCancelAcrossClusterEpochs(t *testing.T) {
-	c := NewCluster(2, 2)
-	defer c.Close()
-	c.Connect(0, 1, 1.0)
-	c.Connect(1, 0, 1.0)
-	a, b := c.Shard(0), c.Shard(1)
-
-	var stale EventHandle
-	ranLocal, ranRemote, ranLate := false, false, false
-	// Epoch 1: shard 0 runs a local event (its struct is recycled) and
-	// posts to shard 1.
-	stale = a.Schedule(0.1, func() { ranLocal = true })
-	a.Schedule(0.2, func() {
-		a.Post(b, 1.0, func() {
-			ranRemote = true
-			// Shard 1 replies; delivery on shard 0 reuses the pooled struct
-			// that stale still points at.
-			b.Post(a, 1.0, func() { ranLate = true })
-		})
-	})
-	if err := c.RunUntil(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if !ranLocal {
-		t.Fatal("local event did not run in first window")
-	}
-	// The struct behind stale is back in shard 0's free list. Cancel now
-	// (between epochs, coordinator context): must be a no-op.
-	stale.Cancel()
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ranRemote || !ranLate {
-		t.Fatalf("cross-shard events lost (remote=%v late=%v): stale handle canceled a recycled event",
-			ranRemote, ranLate)
-	}
-	// Canceling again after the run (several more recycles) stays inert.
-	stale.Cancel()
-	final := false
-	a.Schedule(0.1, func() { final = true })
-	stale.Cancel()
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !final {
-		t.Fatal("stale handle canceled an event scheduled after the run")
-	}
-}
-
 // TestCompactionPreservesOrder cancels most of a large queue (forcing
 // compaction) and checks the survivors still run in (time, seq) order.
 func TestCompactionPreservesOrder(t *testing.T) {

@@ -76,13 +76,8 @@ type entry struct {
 }
 
 // EventHandle allows a scheduled event to be canceled before it fires.
-// The zero EventHandle is valid and canceling it is a no-op.
-//
-// Handles are shard-local: a handle may only be canceled from the
-// goroutine currently running its simulator (an event callback or process
-// of the same shard, or the coordinator between epochs). Event slots are
-// pooled per shard, so the generation check below stays single-shard and
-// lock-free.
+// The zero EventHandle is valid and canceling it is a no-op. A handle may
+// only be canceled from the goroutine running its simulator.
 type EventHandle struct {
 	s    *Simulator
 	slot int32
@@ -94,8 +89,7 @@ type EventHandle struct {
 // (the ABA case): every recycle bumps the slot's generation, each handle
 // pins the generation it was issued against, and a mismatch makes the
 // stale handle inert — even when the slot has been recycled several
-// times, e.g. across cluster epochs where the shard router delivers
-// cross-shard events into the same arena.
+// times.
 func (h EventHandle) Cancel() {
 	s := h.s
 	if s == nil {
@@ -196,9 +190,7 @@ func (q eventQueue) heapify() {
 // Simulator owns the virtual clock and the pending event queue.
 // A Simulator must not be shared between OS threads while running;
 // all interaction during a run happens from event callbacks and processes.
-// (A Cluster runs several Simulators on several threads, but each
-// Simulator is still only ever touched by one goroutine at a time — see
-// shard.go.)
+// Independent simulations run in parallel on one Simulator each.
 type Simulator struct {
 	now Time
 	seq uint64
@@ -220,17 +212,8 @@ type Simulator struct {
 	err     error
 	stopped bool
 
-	// executed counts events run so far (diagnostics; epoch accounting).
+	// executed counts events run so far (diagnostics).
 	executed uint64
-
-	// Cluster membership (nil/0 for a standalone simulator). The shard ID
-	// participates in the cluster's global (time, shard, seq) event-order
-	// tie-break; the outbox buffers conservatively-scheduled cross-shard
-	// events until the next epoch barrier.
-	cluster *Cluster
-	shard   int
-	xseq    uint64 // per-shard sequence for outbox entries
-	outbox  []remoteEvent
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -250,21 +233,8 @@ func (s *Simulator) Pending() int {
 	return s.queued() - s.canceled
 }
 
-// Executed returns the number of events run since creation (diagnostics;
-// the cluster epoch reporter differences it per epoch).
+// Executed returns the number of events run since creation (diagnostics).
 func (s *Simulator) Executed() uint64 { return s.executed }
-
-// Shard returns the simulator's shard ID within its cluster (0 for a
-// standalone simulator).
-func (s *Simulator) Shard() int { return s.shard }
-
-// NextEventTime returns the timestamp of the earliest pending event, or
-// ok=false when none remain. Canceled events found at the queue fronts
-// are retired on the way (they would be skipped by Run anyway).
-func (s *Simulator) NextEventTime() (Time, bool) {
-	_, at, ok := s.next()
-	return at, ok
-}
 
 // next retires canceled events at the fronts of both queues and locates
 // the earliest live event: in the heap (fromHeap) or at the FIFO head.
@@ -412,17 +382,12 @@ func (s *Simulator) Run() error {
 }
 
 // RunUntil executes events with timestamps <= limit. The clock is left at
-// the time of the last executed event (or at limit if nothing remained).
+// limit if later events remain queued, else at the last executed event.
 func (s *Simulator) RunUntil(limit Time) error {
-	return s.runLimit(limit, true)
+	return s.runLimit(limit)
 }
 
-// runLimit is the core event loop. With inclusive=true events at exactly
-// limit run (RunUntil semantics); with inclusive=false they stay queued —
-// the cluster epoch scheduler uses the exclusive form so that an event at
-// the epoch horizon is ordered against cross-shard events arriving at that
-// same instant instead of racing ahead of them.
-//
+// runLimit is the core event loop: it runs events due at or before limit.
 // Events run in (at, seq) order although same-instant events skip the
 // heap. An event scheduled for the instant the clock shows goes to the
 // FIFO, so every heap entry due at now was pushed while the clock was
@@ -430,7 +395,7 @@ func (s *Simulator) RunUntil(limit Time) error {
 // heap entries due now first, then the FIFO, and only then advancing the
 // clock is therefore exactly (at, seq) order. The clock never advances
 // while the FIFO holds live events, so FIFO entries are always due now.
-func (s *Simulator) runLimit(limit Time, inclusive bool) error {
+func (s *Simulator) runLimit(limit Time) error {
 	if s.running {
 		return errors.New("sim: Run called re-entrantly")
 	}
@@ -441,15 +406,12 @@ func (s *Simulator) runLimit(limit Time, inclusive bool) error {
 	for !s.stopped {
 		fromHeap, at, ok := s.next()
 		if !ok {
-			// A clustered shard with a drained queue may still receive
-			// cross-shard events at the next epoch barrier; the cluster
-			// performs the global deadlock check instead.
-			if s.procs > 0 && s.err == nil && s.cluster == nil {
+			if s.procs > 0 && s.err == nil {
 				s.err = fmt.Errorf("%w (%d live processes)", ErrDeadlock, s.procs)
 			}
 			break
 		}
-		if at > limit || (!inclusive && at == limit) {
+		if at > limit {
 			// Leave it queued for a later run.
 			if s.now < limit {
 				s.now = limit

@@ -354,6 +354,11 @@ func TestParseConfigRejectsBadValues(t *testing.T) {
 		{"UCX_MP_MAX_RETRIES": "three"},
 		{"UCX_MP_ADAPT_SEGMENTS": "0"},
 		{"UCX_MP_ADAPT_MIN_BYTES": "-5"},
+		{"UCX_RNDV_THRESH": "NaN"},
+		{"UCX_RNDV_THRESH": "Inf"},
+		{"UCX_RNDV_THRESH": "1e400"},
+		{"UCX_MP_ADAPT_MIN_BYTES": "NaN"},
+		{"UCX_MP_ADAPT_MIN_BYTES": "+Inf"},
 		{"UCX_MP_RECALIBRATE": "7"},
 		{"UCX_NOT_A_KEY": "1"},
 	}

@@ -19,6 +19,7 @@ package ucx
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,12 +114,6 @@ type Config struct {
 	// plus a metrics registry, exportable as a Perfetto trace and a JSON
 	// snapshot. Off by default; disabled cost is one nil check per hook.
 	Trace bool
-	// Shards is the default shard count for embedders running fleet-scale
-	// simulations on the sharded event engine (sim.Cluster): 0 or 1 keeps
-	// the sequential engine, N > 1 partitions connected components across
-	// N shards. Single-node transfer stacks ignore it — one node is one
-	// component and always simulates sequentially.
-	Shards int
 }
 
 // Planner produces a multi-path configuration for a transfer. core.Model
@@ -167,7 +162,8 @@ func DefaultConfig() Config {
 //	UCX_MP_GRAPHS        y|n
 //	UCX_MP_RECALIBRATE   y|n
 //	UCX_MP_TRACE         y|n
-//	UCX_MP_SHARDS        integer ≥ 0 (0/1 = sequential engine)
+//
+// Byte thresholds must be finite and non-negative.
 func ParseConfig(env map[string]string) (Config, error) {
 	cfg := DefaultConfig()
 	// Walk variables in sorted order so that with several invalid entries
@@ -192,8 +188,8 @@ func ParseConfig(env map[string]string) (Config, error) {
 			}
 			cfg.PathSet = v
 		case "UCX_RNDV_THRESH":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			f, ok := parseBytes(v)
+			if !ok {
 				return cfg, fmt.Errorf("ucx: bad %s=%q", k, v)
 			}
 			cfg.RndvThreshold = f
@@ -246,8 +242,8 @@ func ParseConfig(env map[string]string) (Config, error) {
 			}
 			cfg.AdaptSegments = i
 		case "UCX_MP_ADAPT_MIN_BYTES":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			f, ok := parseBytes(v)
+			if !ok {
 				return cfg, fmt.Errorf("ucx: bad %s=%q", k, v)
 			}
 			cfg.AdaptMinBytes = f
@@ -269,12 +265,6 @@ func ParseConfig(env map[string]string) (Config, error) {
 				return cfg, fmt.Errorf("ucx: %s: %w", k, err)
 			}
 			cfg.Trace = b
-		case "UCX_MP_SHARDS":
-			i, err := strconv.Atoi(v)
-			if err != nil || i < 0 {
-				return cfg, fmt.Errorf("ucx: bad %s=%q", k, v)
-			}
-			cfg.Shards = i
 		default:
 			return cfg, fmt.Errorf("ucx: unknown variable %q", k)
 		}
@@ -295,6 +285,14 @@ func newPlannerModel(cfg Config, source core.ParamSource) *core.Model {
 		mo.AccumulateLaunch = false
 	}
 	return core.NewModel(source, mo)
+}
+
+// parseBytes reads a byte threshold, which must be finite and
+// non-negative: NaN would make every size comparison false, so that even
+// a 1-byte Put would take rendezvous.
+func parseBytes(v string) (float64, bool) {
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil && f >= 0 && !math.IsInf(f, 1)
 }
 
 func parseBool(v string) (bool, error) {

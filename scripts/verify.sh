@@ -58,14 +58,11 @@ go test -race -count=3 \
 	-run 'TestMetricsConcurrentRecording|TestTracer' \
 	./internal/obs/
 
-# The sharded parallel engine's whole value is that worker count is
-# unobservable: rerun the epoch-barrier stress, the cluster determinism
-# suites, and the sharded-vs-sequential churn identity under the race
-# detector with extra repetitions.
-echo "==> go test -race -count=3 (shard engine / epoch barrier stress)"
-go test -race -count=3 \
-	-run 'TestEpochPool|TestCluster|TestShardedChurnIdentity' \
-	./internal/par/ ./internal/sim/ ./internal/fluid/
+# Independent fleets run on one simulator per node, fanned across
+# workers: a component's bits must not depend on which simulator or how
+# many workers run it. Rerun that identity under the race detector.
+echo "==> go test -race -count=3 (per-component simulators)"
+go test -race -count=3 -run 'TestComponentsIndependentOfSimulator' ./internal/fluid/
 
 # Serving stress: concurrent registry hot-reload during batch planning,
 # and the metrics/histogram concurrency, under the race detector.
@@ -89,6 +86,11 @@ done
 echo "==> go test -fuzz (topology JSON, 10 s)"
 go test -run '^$' -fuzz '^FuzzSpecFromJSON$' -fuzztime 10s ./internal/hw
 
+# Environment configuration is the third outside input: whatever
+# ParseConfig accepts must give finite thresholds and a usable Context.
+echo "==> go test -fuzz (ucx env config, 10 s)"
+go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/ucx
+
 # The figure contract: every printed table of the paper figures, the
 # extensions and Observation 2 is byte-identical to its checked-in
 # results file. The full grid fans over one worker per CPU.
@@ -97,12 +99,6 @@ go build -o bin/mpbench ./cmd/mpbench
 ./bin/mpbench -exp all -parallel | cmp - results_full.txt
 ./bin/mpbench -exp ext | cmp - results_ext.txt
 ./bin/mpbench -exp obs2 | cmp - results_obs2.txt
-
-# Shard smoke: one reduced repetition of the fleet + single-component
-# ladders, proving the sharded experiment (and its checksum-equality
-# enforcement across worker and shard counts) runs end to end.
-echo "==> mpbench -exp shard smoke (quick ladders)"
-./bin/mpbench -exp shard -quick -shard-json ""
 
 # Daemon smoke: start mpserve on a random port, round-trip one batch over
 # the real binary's HTTP API, and check /v1/stats reports both clusters.
