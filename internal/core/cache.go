@@ -8,13 +8,16 @@ import (
 	"repro/internal/hw"
 )
 
-// The configuration cache of Algorithm 1 (lines 4-6) is the planner's fast
-// path: at steady state every transfer is a cache hit, so the lookup must
-// be allocation-free and safe under concurrent traffic. The cache is
-// sharded by key hash; each shard is an RWMutex-guarded map with a CLOCK
-// ring bounding the number of retained plans. Concurrent misses for the
-// same key are merged (built-in singleflight): the first caller computes,
-// later callers block on the entry's done channel and share the result.
+// Cache is the configuration memo of Algorithm 1 (lines 4-6) and of what
+// is derived from a configuration one level down: core.Model caches its
+// plans in one, and ucx.Context caches the compiled graph of each plan in
+// another under the same key (Plan.Key). At steady state every transfer is
+// a hit, so a hit is allocation-free and safe under concurrent traffic.
+// The cache is sharded by key hash; each shard is an RWMutex-guarded map
+// with a CLOCK ring bounding the number of retained values. Concurrent
+// misses for the same key are merged (built-in singleflight): the first
+// caller fills, later callers block on the entry's done channel and share
+// the result.
 
 const (
 	// cacheShardCount spreads lock contention; must be a power of two.
@@ -26,9 +29,9 @@ const (
 )
 
 // CacheStats counts configuration-cache behaviour (Algorithm 1 lines 4-6).
-// Counters are cumulative across InvalidateCache; ResetStats zeroes them.
-// The JSON tags are part of the serving wire contract (the snapshot served
-// by mpserve's /v1/stats embeds this struct).
+// Counters are cumulative across invalidations. The JSON tags are part of
+// the serving wire contract (the snapshot served by mpserve's /v1/stats
+// embeds this struct).
 type CacheStats struct {
 	// Hits are lookups served from a completed cached plan.
 	Hits int64 `json:"hits"`
@@ -41,32 +44,35 @@ type CacheStats struct {
 	InflightMerges int64 `json:"inflight_merges"`
 }
 
-// cacheEntry is one cached plan. Before the computation finishes, waiters
-// block on done; after close(done) the plan/err fields are immutable.
-type cacheEntry struct {
+// cacheEntry is one cached value. Before the fill finishes, waiters block
+// on done; after close(done) val/err are immutable (Put installs a new,
+// already complete entry rather than writing over one, so its done is nil).
+type cacheEntry[V any] struct {
 	key      uint64
-	plan     *Plan
+	val      V
 	err      error
 	done     chan struct{}
 	computed bool        // guarded by the shard lock
 	ref      atomic.Bool // CLOCK reference bit; set on hit under RLock
 }
 
-// cacheShard is one lock domain of the plan cache.
-type cacheShard struct {
+// cacheShard is one lock domain of a Cache.
+type cacheShard[V any] struct {
 	mu      sync.RWMutex
-	entries map[uint64]*cacheEntry
+	entries map[uint64]*cacheEntry[V]
 	// ring holds completed entries only (in-flight entries join it when
-	// their computation publishes), so CLOCK never has to skip an entry
-	// that cannot be evicted.
-	ring []*cacheEntry
+	// their fill publishes), so CLOCK never has to skip an entry that
+	// cannot be evicted, and the map holds more entries than the ring
+	// exactly when a fill is in flight.
+	ring []*cacheEntry[V]
 	hand int
 	cap  int
 }
 
-// planCache is the concurrency-safe bounded plan cache.
-type planCache struct {
-	shards [cacheShardCount]cacheShard
+// Cache is a concurrency-safe bounded memo from uint64 keys to values.
+type Cache[V any] struct {
+	shards  [cacheShardCount]cacheShard[V]
+	release func(V)
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -74,94 +80,101 @@ type planCache struct {
 	merges    atomic.Int64
 }
 
-func newPlanCache(capacity int) *planCache {
+// NewCache returns a cache retaining at most capacity values (0 or less
+// means DefaultCacheCapacity; the floor is one value per shard). release,
+// when non-nil, is called once for each value that leaves the cache —
+// evicted by the bound, replaced by Put, or removed by DropIf — after the
+// shard lock is let go.
+func NewCache[V any](capacity int, release func(V)) *Cache[V] {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	perShard := (capacity + cacheShardCount - 1) / cacheShardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &planCache{}
+	c := &Cache[V]{release: release}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]*cacheEntry)
-		c.shards[i].cap = perShard
+		c.shards[i].entries = make(map[uint64]*cacheEntry[V])
+		c.shards[i].cap = (capacity + cacheShardCount - 1) / cacheShardCount
 	}
 	return c
 }
 
-// get returns the cached plan for key, computing it with compute on a miss.
-// Concurrent misses for the same key run compute once. Failed computations
-// are not cached.
-func (c *planCache) get(key uint64, compute func() (*Plan, error)) (*Plan, error) {
+// Get returns the value cached under key, computing it with fill on a
+// miss. Concurrent misses for the same key run fill once and share its
+// result. Failed fills are not cached.
+func (c *Cache[V]) Get(key uint64, fill func() (V, error)) (V, error) {
 	s := &c.shards[key&(cacheShardCount-1)]
 
 	s.mu.RLock()
-	if e, ok := s.entries[key]; ok {
-		if e.computed {
-			pl, err := e.plan, e.err
-			e.ref.Store(true)
-			s.mu.RUnlock()
-			c.hits.Add(1)
-			return pl, err
-		}
+	e := s.entries[key]
+	if e != nil && e.computed {
+		v := e.val
+		e.ref.Store(true)
 		s.mu.RUnlock()
-		c.merges.Add(1)
-		<-e.done // close happens-after e.plan/e.err are published
-		return e.plan, e.err
+		c.hits.Add(1)
+		return v, nil
 	}
 	s.mu.RUnlock()
 
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		// Lost the upgrade race: someone else inserted between our RUnlock
-		// and Lock.
+	if e == nil {
+		s.mu.Lock()
+		if e = s.entries[key]; e == nil {
+			e = &cacheEntry[V]{key: key, done: make(chan struct{})}
+			s.entries[key] = e
+			s.mu.Unlock()
+			c.misses.Add(1)
+			return c.fill(s, e, fill)
+		}
+		// Lost the upgrade race: someone else inserted between our
+		// RUnlock and Lock.
 		if e.computed {
-			pl, err := e.plan, e.err
+			v := e.val
 			e.ref.Store(true)
 			s.mu.Unlock()
 			c.hits.Add(1)
-			return pl, err
+			return v, nil
 		}
 		s.mu.Unlock()
-		c.merges.Add(1)
-		<-e.done
-		return e.plan, e.err
 	}
-	e := &cacheEntry{key: key, done: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	c.misses.Add(1)
+	c.merges.Add(1)
+	<-e.done // close happens-after e.val/e.err are published
+	return e.val, e.err
+}
 
-	pl, err := compute()
+// fill runs the computation for a freshly inserted entry and publishes it.
+func (c *Cache[V]) fill(s *cacheShard[V], e *cacheEntry[V], fill func() (V, error)) (V, error) {
+	v, err := fill()
 
+	var victim *cacheEntry[V]
 	s.mu.Lock()
-	e.plan, e.err = pl, err
+	e.val, e.err = v, err
 	e.computed = true
-	// The map slot may have been replaced by InvalidateCache while we were
-	// computing; only publish into the ring if we still own it.
-	if s.entries[key] == e {
+	// DropIf or Put may have taken the map slot while we were computing;
+	// only publish into the ring if we still own it.
+	if s.entries[e.key] == e {
 		if err != nil {
-			delete(s.entries, key)
+			delete(s.entries, e.key)
 		} else {
-			c.evictions.Add(s.installLocked(e))
+			victim = s.installLocked(e)
 		}
 	}
 	s.mu.Unlock()
 	close(e.done)
-	return pl, err
+	if victim != nil {
+		c.evictions.Add(1)
+		c.releaseVal(victim.val)
+	}
+	return v, err
 }
 
-// installLocked adds a completed entry to the CLOCK ring, evicting a victim when
-// the shard is at capacity. Called with the shard write lock held; returns
-// the number of evicted entries (0 or 1).
-func (s *cacheShard) installLocked(e *cacheEntry) int64 {
+// installLocked adds a completed entry to the CLOCK ring. At capacity it
+// evicts a victim and returns it for the caller to release outside the
+// lock. The sweep ends within two passes: the first clears every
+// reference bit, the second finds an unreferenced victim. Called with the
+// shard write lock held.
+func (s *cacheShard[V]) installLocked(e *cacheEntry[V]) *cacheEntry[V] {
 	if len(s.ring) < s.cap {
 		s.ring = append(s.ring, e)
-		return 0
+		return nil
 	}
-	// CLOCK sweep: terminate within two passes — the first pass clears
-	// every reference bit, the second finds an unreferenced victim.
 	for {
 		v := s.ring[s.hand]
 		if v.ref.Swap(false) {
@@ -171,60 +184,95 @@ func (s *cacheShard) installLocked(e *cacheEntry) int64 {
 		delete(s.entries, v.key)
 		s.ring[s.hand] = e
 		s.hand = (s.hand + 1) % len(s.ring)
-		return 1
+		return v
 	}
 }
 
-// invalidate drops every cached plan. In-flight computations complete and
-// deliver their result to waiters but are not re-cached (their map slot is
-// gone), so plans computed before the invalidation never reappear after it.
-func (c *planCache) invalidate() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		clear(s.entries)
-		for j := range s.ring {
-			s.ring[j] = nil
-		}
-		s.ring = s.ring[:0]
-		s.hand = 0
-		s.mu.Unlock()
-	}
-}
-
-// invalidateMatching drops completed entries whose plan satisfies pred, and
-// every in-flight entry (its plan cannot be inspected yet; dropping the map
-// slot means the computation finishes, delivers to its waiters, and is not
-// re-cached — the same conservative rule invalidate uses).
-func (c *planCache) invalidateMatching(pred func(*Plan) bool) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for key, e := range s.entries {
-			if !e.computed || e.plan == nil || pred(e.plan) {
-				delete(s.entries, key)
+// Put caches v under key and releases the value it displaces: the
+// completed value cached under key, which v replaces in its CLOCK slot
+// with its reference bit, or else the victim of the capacity bound. A
+// fill in flight for key still answers its waiters but is not cached.
+// v must not be the value already cached under key.
+func (c *Cache[V]) Put(key uint64, v V) {
+	s := &c.shards[key&(cacheShardCount-1)]
+	ne := &cacheEntry[V]{key: key, val: v, computed: true}
+	var old *cacheEntry[V]
+	s.mu.Lock()
+	if e := s.entries[key]; e != nil && e.computed {
+		old = e
+		ne.ref.Store(e.ref.Load())
+		for i, r := range s.ring {
+			if r == e {
+				s.ring[i] = ne
+				break
 			}
 		}
-		// Rebuild the CLOCK ring keeping only survivors.
+	} else if old = s.installLocked(ne); old != nil {
+		c.evictions.Add(1)
+	}
+	s.entries[key] = ne
+	s.mu.Unlock()
+	if old != nil {
+		c.releaseVal(old.val)
+	}
+}
+
+// DropIf removes every completed value for which drop returns true, and
+// every fill still in flight: its value cannot be inspected yet, so it
+// answers its waiters but is not cached. It returns the number of entries
+// removed. drop runs under a shard lock, so it must not call back into
+// the cache. Removed values are released once every shard lock is let
+// go, shard by shard and in CLOCK ring order within a shard, so the order
+// is the same on every run.
+func (c *Cache[V]) DropIf(drop func(V) bool) int {
+	n := 0
+	var dropped []V
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		// Only in-flight entries are missing from the ring, so the map is
+		// walked only when one exists.
+		if len(s.entries) > len(s.ring) {
+			for key, e := range s.entries {
+				if !e.computed {
+					delete(s.entries, key)
+					n++
+				}
+			}
+		}
 		keep := s.ring[:0]
 		for _, e := range s.ring {
-			if _, ok := s.entries[e.key]; ok && s.entries[e.key] == e {
+			if !drop(e.val) {
 				keep = append(keep, e)
+				continue
+			}
+			delete(s.entries, e.key)
+			n++
+			if c.release != nil {
+				dropped = append(dropped, e.val)
 			}
 		}
-		for j := len(keep); j < len(s.ring); j++ {
-			s.ring[j] = nil
-		}
+		clear(s.ring[len(keep):])
 		s.ring = keep
-		if s.hand >= len(s.ring) {
+		if s.hand >= len(keep) {
 			s.hand = 0
 		}
 		s.mu.Unlock()
 	}
+	for _, v := range dropped {
+		c.release(v)
+	}
+	return n
 }
 
-// len counts retained (completed or in-flight) entries.
-func (c *planCache) len() int {
+func (c *Cache[V]) releaseVal(v V) {
+	if c.release != nil {
+		c.release(v)
+	}
+}
+
+// Len counts retained (completed or in-flight) entries.
+func (c *Cache[V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -235,21 +283,13 @@ func (c *planCache) len() int {
 	return n
 }
 
-func (c *planCache) stats() CacheStats {
+// Stats returns a snapshot of the cumulative counters.
+func (c *Cache[V]) Stats() CacheStats {
 	return CacheStats{
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),
 		Evictions:      c.evictions.Load(),
 		InflightMerges: c.merges.Load(),
-	}
-}
-
-func (c *planCache) resetStats() CacheStats {
-	return CacheStats{
-		Hits:           c.hits.Swap(0),
-		Misses:         c.misses.Swap(0),
-		Evictions:      c.evictions.Swap(0),
-		InflightMerges: c.merges.Swap(0),
 	}
 }
 

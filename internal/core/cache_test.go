@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,21 +262,173 @@ func TestPlanCacheConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestResetStats checks the snapshot-and-zero semantics.
-func TestResetStats(t *testing.T) {
-	spec, m := clusterModel(t, hw.Beluga, DefaultOptions())
-	paths := pathsFor(t, spec, hw.ThreeGPUs)
-	for i := 0; i < 3; i++ {
-		if _, err := m.PlanTransfer(paths, 8*hw.MiB); err != nil {
+// TestCacheEvictionReleasesVictimOnce fills one shard past its bound of
+// one value: every fill after the first evicts its predecessor, which is
+// released exactly once, and the survivor is not released at all.
+func TestCacheEvictionReleasesVictimOnce(t *testing.T) {
+	released := map[int]int{}
+	c := NewCache(cacheShardCount, func(v int) { released[v]++ })
+	for i := 0; i < 5; i++ {
+		key := uint64(i)<<4 | 3 // every key lands in shard 3
+		if v, err := c.Get(key, func() (int, error) { return i, nil }); err != nil || v != i {
+			t.Fatalf("fill %d: got (%d, %v)", i, v, err)
+		}
+	}
+	if want := map[int]int{0: 1, 1: 1, 2: 1, 3: 1}; !reflect.DeepEqual(released, want) {
+		t.Fatalf("released %v, want %v", released, want)
+	}
+	if c.Len() != 1 || c.Stats().Evictions != 4 {
+		t.Fatalf("len %d, stats %+v; want 1 value and 4 evictions", c.Len(), c.Stats())
+	}
+}
+
+// TestCachePutReleasesReplacedOnce checks that Put over a completed value
+// releases the old value exactly once and serves the new one as a hit,
+// and that a Put of a new key into a full shard releases its victim once.
+func TestCachePutReleasesReplacedOnce(t *testing.T) {
+	released := map[int]int{}
+	c := NewCache(cacheShardCount, func(v int) { released[v]++ })
+	noFill := func() (int, error) {
+		t.Fatal("unexpected fill")
+		return 0, nil
+	}
+	if _, err := c.Get(3, func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(3, 2)
+	if want := map[int]int{1: 1}; !reflect.DeepEqual(released, want) {
+		t.Fatalf("after Put: released %v, want %v", released, want)
+	}
+	if v, _ := c.Get(3, noFill); v != 2 {
+		t.Fatalf("Get after Put = %d, want 2", v)
+	}
+	c.Put(3, 3)
+	c.Put(19, 4) // shard 3 is full: the value under key 3 is the victim
+	if want := map[int]int{1: 1, 2: 1, 3: 1}; !reflect.DeepEqual(released, want) {
+		t.Fatalf("after evicting Put: released %v, want %v", released, want)
+	}
+	if v, _ := c.Get(19, noFill); v != 4 {
+		t.Fatalf("Get of the put key = %d, want 4", v)
+	}
+	if st := c.Stats(); c.Len() != 1 || st.Evictions != 1 || st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("len %d, stats %+v; want 1 value, 1 eviction, 2 hits, 1 miss", c.Len(), st)
+	}
+}
+
+// TestCacheDropIfReleasesInRingOrder checks that DropIf releases each
+// dropped value exactly once, shard by shard in insertion (CLOCK ring)
+// order rather than key or map order, and that undropped values keep
+// hitting.
+func TestCacheDropIfReleasesInRingOrder(t *testing.T) {
+	var released []int
+	c := NewCache(DefaultCacheCapacity, func(v int) { released = append(released, v) })
+	const n = 100
+	key := func(i int) uint64 { return uint64(i * 7919 % 1000) } // distinct, unsorted
+	for i := 0; i < n; i++ {
+		if _, err := c.Get(key(i), func() (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := m.ResetStats()
-	if snap.Misses != 1 || snap.Hits != 2 {
-		t.Fatalf("snapshot = %+v, want 1 miss / 2 hits", snap)
+	var want []int
+	for shard := uint64(0); shard < cacheShardCount; shard++ {
+		for i := 0; i < n; i++ {
+			if key(i)&(cacheShardCount-1) == shard && i%3 == 0 {
+				want = append(want, i)
+			}
+		}
 	}
-	if after := m.Stats(); after != (CacheStats{}) {
-		t.Fatalf("stats not zeroed: %+v", after)
+	if got := c.DropIf(func(v int) bool { return v%3 == 0 }); got != len(want) {
+		t.Fatalf("DropIf removed %d, want %d", got, len(want))
+	}
+	if !reflect.DeepEqual(released, want) {
+		t.Fatalf("release order %v, want %v", released, want)
+	}
+	if c.Len() != n-len(want) {
+		t.Fatalf("len %d, want %d", c.Len(), n-len(want))
+	}
+	for i := 1; i < n; i += 3 {
+		if v, _ := c.Get(key(i), func() (int, error) { return -1, nil }); v != i {
+			t.Fatalf("survivor %d answered %d", i, v)
+		}
+	}
+	if misses := c.Stats().Misses; misses != n {
+		t.Fatalf("survivors refilled: %d misses, want %d", misses, n)
+	}
+}
+
+// TestCacheDropIfKeepsSurvivors drops the cached plans toward one
+// destination and checks that the others are kept and still hit.
+func TestCacheDropIfKeepsSurvivors(t *testing.T) {
+	src := &obsParamSource{}
+	m := NewModel(src, DefaultOptions())
+	paths01 := obsPaths()
+	paths02 := []hw.Path{
+		{Kind: hw.Direct, Src: 0, Dst: 2},
+		{Kind: hw.GPUStaged, Src: 0, Dst: 2, Via: 1},
+	}
+	for _, n := range []float64{1 * hw.MiB, 4 * hw.MiB, 16 * hw.MiB} {
+		if _, err := m.PlanTransfer(paths01, n); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.PlanTransfer(paths02, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.CachedPlans() != 6 {
+		t.Fatalf("cached = %d, want 6", m.CachedPlans())
+	}
+	if n := m.cache.DropIf(func(pl *Plan) bool { return pl.Dst == 2 }); n != 3 {
+		t.Fatalf("DropIf removed %d plans, want 3", n)
+	}
+	if m.CachedPlans() != 3 {
+		t.Fatalf("after DropIf cached = %d, want 3", m.CachedPlans())
+	}
+	before := m.Stats().Hits
+	if _, err := m.PlanTransfer(paths01, 1*hw.MiB); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Hits != before+1 {
+		t.Fatal("surviving plan did not hit")
+	}
+}
+
+// TestCacheDropIfInFlightFill drops a key whose fill is still running:
+// the fill answers its own caller and a merged waiter, is neither
+// released nor re-cached, and the next lookup fills afresh.
+func TestCacheDropIfInFlightFill(t *testing.T) {
+	var released atomic.Int64
+	c := NewCache(DefaultCacheCapacity, func(int) { released.Add(1) })
+	entered, gate := make(chan struct{}), make(chan struct{})
+	got := make(chan int, 2)
+	go func() {
+		v, _ := c.Get(1, func() (int, error) {
+			close(entered)
+			<-gate
+			return 7, nil
+		})
+		got <- v
+	}()
+	<-entered
+	go func() {
+		v, _ := c.Get(1, func() (int, error) { return -1, nil })
+		got <- v
+	}()
+	for c.Stats().InflightMerges == 0 {
+		runtime.Gosched()
+	}
+	if n := c.DropIf(func(int) bool { return false }); n != 1 {
+		t.Fatalf("DropIf removed %d entries, want the in-flight one", n)
+	}
+	close(gate)
+	if a, b := <-got, <-got; a != 7 || b != 7 {
+		t.Fatalf("fill and waiter got %d and %d, want 7", a, b)
+	}
+	if c.Len() != 0 || released.Load() != 0 {
+		t.Fatalf("len %d, %d released; the dropped fill must be neither cached nor released",
+			c.Len(), released.Load())
+	}
+	if v, _ := c.Get(1, func() (int, error) { return 8, nil }); v != 8 || c.Stats().Misses != 2 {
+		t.Fatalf("lookup after the drop got %d with stats %+v, want a fresh fill", v, c.Stats())
 	}
 }
 

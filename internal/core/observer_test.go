@@ -203,36 +203,3 @@ func TestObserverConcurrentRecordAndPlan(t *testing.T) {
 		t.Fatal("no samples recorded")
 	}
 }
-
-func TestInvalidateMatchingDropsOnlyMatching(t *testing.T) {
-	src := &obsParamSource{}
-	m := NewModel(src, DefaultOptions())
-	paths01 := obsPaths()
-	paths02 := []hw.Path{
-		{Kind: hw.Direct, Src: 0, Dst: 2},
-		{Kind: hw.GPUStaged, Src: 0, Dst: 2, Via: 1},
-	}
-	for _, n := range []float64{1 * hw.MiB, 4 * hw.MiB, 16 * hw.MiB} {
-		if _, err := m.PlanTransfer(paths01, n); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.PlanTransfer(paths02, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.CachedPlans() != 6 {
-		t.Fatalf("cached = %d, want 6", m.CachedPlans())
-	}
-	m.InvalidateMatching(func(pl *Plan) bool { return pl.Dst == 2 })
-	if m.CachedPlans() != 3 {
-		t.Fatalf("after invalidate cached = %d, want 3", m.CachedPlans())
-	}
-	// Surviving plans still hit.
-	before := m.Stats().Hits
-	if _, err := m.PlanTransfer(paths01, 1*hw.MiB); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().Hits != before+1 {
-		t.Fatal("surviving plan did not hit")
-	}
-}

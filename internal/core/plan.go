@@ -151,7 +151,7 @@ func (pl *Plan) ActivePaths() []PathPlan {
 type Model struct {
 	src     ParamSource
 	opts    Options
-	cache   *planCache
+	cache   *Cache[*Plan]
 	scratch sync.Pool
 	// obs, when set, applies online β corrections to path parameters at
 	// planning time (see Observer).
@@ -170,7 +170,7 @@ func NewModel(src ParamSource, opts Options) *Model {
 	if opts.Granularity <= 0 {
 		opts.Granularity = 1
 	}
-	m := &Model{src: src, opts: opts, cache: newPlanCache(opts.CacheCapacity)}
+	m := &Model{src: src, opts: opts, cache: NewCache[*Plan](opts.CacheCapacity, nil)}
 	m.scratch.New = func() any { return new(planScratch) }
 	return m
 }
@@ -179,28 +179,16 @@ func NewModel(src ParamSource, opts Options) *Model {
 func (m *Model) Options() Options { return m.opts }
 
 // Stats returns a snapshot of the cumulative cache statistics.
-func (m *Model) Stats() CacheStats { return m.cache.stats() }
-
-// ResetStats zeroes the cache statistics and returns the counts up to that
-// point (each counter is swapped atomically).
-func (m *Model) ResetStats() CacheStats { return m.cache.resetStats() }
+func (m *Model) Stats() CacheStats { return m.cache.Stats() }
 
 // CachedPlans reports how many plans the cache currently retains.
-func (m *Model) CachedPlans() int { return m.cache.len() }
+func (m *Model) CachedPlans() int { return m.cache.Len() }
 
 // InvalidateCache clears cached configurations (topology change). Safe
 // against concurrent lookups: in-flight computations finish and deliver
 // their result to waiters but are not re-cached. Statistics are cumulative
-// across invalidations; use ResetStats to zero them.
-func (m *Model) InvalidateCache() { m.cache.invalidate() }
-
-// InvalidateMatching drops cached plans for which pred returns true (e.g.
-// plans routing through a link that just failed). In-flight computations
-// are dropped unconditionally — their plans cannot be inspected yet, and
-// re-planning a transfer is cheap relative to executing a stale plan.
-func (m *Model) InvalidateMatching(pred func(*Plan) bool) {
-	m.cache.invalidateMatching(pred)
-}
+// across invalidations.
+func (m *Model) InvalidateCache() { m.cache.DropIf(func(*Plan) bool { return true }) }
 
 // AttachObserver wires an online recalibration observer into the planner:
 // path parameters are passed through the observer's β correction at plan
@@ -299,7 +287,7 @@ func (m *Model) PlanTransferSpan(paths []hw.Path, n float64, parent obs.SpanID) 
 func (m *Model) lookup(paths []hw.Path, n float64, computed *bool) (*Plan, error) {
 	if m.opts.QuantizeSizes {
 		if nq := quantizeSize(n); nq != n {
-			base, err := m.cache.get(planKey(paths, nq), func() (*Plan, error) {
+			base, err := m.cache.Get(planKey(paths, nq), func() (*Plan, error) {
 				if computed != nil {
 					*computed = true
 				}
@@ -311,7 +299,7 @@ func (m *Model) lookup(paths []hw.Path, n float64, computed *bool) (*Plan, error
 			return m.rescale(base, n), nil
 		}
 	}
-	return m.cache.get(planKey(paths, n), func() (*Plan, error) {
+	return m.cache.Get(planKey(paths, n), func() (*Plan, error) {
 		if computed != nil {
 			*computed = true
 		}

@@ -8,10 +8,10 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/tuner"
 	"repro/internal/ucx"
@@ -178,27 +178,38 @@ type staticPlannerKey struct {
 
 // plannerCache shares offline static tunings across panels of one
 // experiment run: the first panel needing a tuning builds it, concurrent
-// panels wait and reuse it (par.Flight's single-flight semantics), so the
-// expensive exhaustive search never runs twice for one (cluster, path set).
+// panels wait on the same sync.OnceValues and share its result, error
+// included (the search is deterministic, so a retry would fail the same
+// way). The expensive exhaustive search never runs twice for one
+// (cluster, path set).
 type plannerCache struct {
 	opts   Options
-	flight par.Flight[staticPlannerKey, *tuner.StaticPlanner]
+	mu     sync.Mutex
+	builds map[staticPlannerKey]func() (*tuner.StaticPlanner, error)
 }
 
 func newPlannerCache(opts Options) *plannerCache {
-	return &plannerCache{opts: opts}
+	return &plannerCache{opts: opts, builds: make(map[staticPlannerKey]func() (*tuner.StaticPlanner, error))}
 }
 
 func (pc *plannerCache) get(cluster, pathSet string) (*tuner.StaticPlanner, error) {
-	return pc.flight.Do(staticPlannerKey{cluster, pathSet}, func() (*tuner.StaticPlanner, error) {
-		spec, err := specFor(cluster)
-		if err != nil {
-			return nil, err
-		}
-		sel, err := ucx.PathSetByName(pathSet)
-		if err != nil {
-			return nil, err
-		}
-		return tuner.NewStaticPlanner(spec, sel, pc.opts.Sizes, pc.opts.Search)
-	})
+	key := staticPlannerKey{cluster, pathSet}
+	pc.mu.Lock()
+	build, ok := pc.builds[key]
+	if !ok {
+		build = sync.OnceValues(func() (*tuner.StaticPlanner, error) {
+			spec, err := specFor(cluster)
+			if err != nil {
+				return nil, err
+			}
+			sel, err := ucx.PathSetByName(pathSet)
+			if err != nil {
+				return nil, err
+			}
+			return tuner.NewStaticPlanner(spec, sel, pc.opts.Sizes, pc.opts.Search)
+		})
+		pc.builds[key] = build
+	}
+	pc.mu.Unlock()
+	return build()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/tuner"
 )
 
 // parallelTestOptions is a reduced grid that still yields multiple panels,
@@ -62,13 +63,15 @@ func TestFig7ParallelMatchesSequential(t *testing.T) {
 }
 
 // TestPlannerCacheSingleFlight checks concurrent panels share one static
-// tuning per (cluster, path set) instead of duplicating the search.
+// tuning per (cluster, path set) instead of duplicating the search: 8
+// callers of one key all get the identical planner, a second key gets its
+// own, and a failed build is not retried but shares its error.
 func TestPlannerCacheSingleFlight(t *testing.T) {
 	opts := parallelTestOptions()
 	pc := newPlannerCache(opts)
 	const callers = 8
 	type res struct {
-		sp  any
+		sp  *tuner.StaticPlanner
 		err error
 	}
 	out := make(chan res, callers)
@@ -90,5 +93,20 @@ func TestPlannerCacheSingleFlight(t *testing.T) {
 		if r.sp != first.sp {
 			t.Fatal("planner cache built duplicate planners for one key")
 		}
+	}
+	other, err := pc.get("beluga", "3gpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == first.sp {
+		t.Fatal("distinct path sets share one planner")
+	}
+	_, err1 := pc.get("nosuch", "2gpus")
+	_, err2 := pc.get("nosuch", "2gpus")
+	if err1 == nil || err1 != err2 {
+		t.Fatalf("failed build not shared: %v, %v", err1, err2)
+	}
+	if n := len(pc.builds); n != 3 {
+		t.Fatalf("%d builds for 3 keys", n)
 	}
 }

@@ -30,8 +30,9 @@ var documentedEnv = []string{
 }
 
 // FuzzParseConfig feeds environments, one KEY=VALUE per line, to
-// ParseConfig. Every environment it accepts gives finite, non-negative
-// byte thresholds and a Config that NewContext accepts on Beluga.
+// ParseConfig. Every environment it accepts gives whole, finite,
+// non-negative byte thresholds and a Config that NewContext accepts on
+// Beluga.
 func FuzzParseConfig(f *testing.F) {
 	for _, kv := range documentedEnv {
 		f.Add(kv)
@@ -47,7 +48,7 @@ func FuzzParseConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		bad := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
+		bad := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) || v != math.Trunc(v) }
 		if bad(cfg.RndvThreshold) || bad(cfg.AdaptMinBytes) {
 			t.Fatalf("%v: RndvThreshold %v, AdaptMinBytes %v", env, cfg.RndvThreshold, cfg.AdaptMinBytes)
 		}

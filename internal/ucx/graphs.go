@@ -6,6 +6,12 @@ package ucx
 // patched in place when only byte counts changed. With graphs disabled
 // every transfer takes the eager engine path, byte-identical to the
 // paper-figure behaviour.
+//
+// The graph cache is a core.Cache, the cache the planner keeps its plans
+// in, one level down and keyed identically (core.Plan.Key). At steady
+// state a warm Put is: plan-cache hit → graph-cache hit → one O(1) graph
+// replay. Graphs that leave it — evicted, recompiled or invalidated —
+// release their staging memory.
 
 import (
 	"repro/internal/core"
@@ -14,13 +20,54 @@ import (
 	"repro/internal/pipeline"
 )
 
+// graphCacheCapacity bounds retained compiled graphs. Graphs are heavier
+// than plans (each staged path holds a staging ring), so the bound is much
+// tighter than the plan cache's.
+const graphCacheCapacity = 256
+
+// GraphStats counts compiled-graph cache and executor behaviour. The JSON
+// tags are part of the serving wire contract (StatsSnapshot embeds this
+// struct and /v1/stats serves it).
+type GraphStats struct {
+	// Hits are lookups served an already-instantiated graph.
+	Hits int64 `json:"hits"`
+	// Misses are lookups that had to compile.
+	Misses int64 `json:"misses"`
+	// Compiles counts graph compilations (cache misses plus structural
+	// recompiles and feeder-private compiles).
+	Compiles int64 `json:"compiles"`
+	// Replays counts graph launches (warm transfers executed by replay).
+	Replays int64 `json:"replays"`
+	// Patches counts in-place parameter updates (GraphExecUpdate-style)
+	// applied instead of recompiling.
+	Patches int64 `json:"patches"`
+	// Invalidations counts graphs dropped by fault notifications and
+	// failover exclusions.
+	Invalidations int64 `json:"invalidations"`
+	// Evictions counts graphs dropped by the CLOCK capacity bound.
+	Evictions int64 `json:"evictions"`
+	// InflightMerges counts lookups that joined an in-flight compilation
+	// of the same key (singleflight).
+	InflightMerges int64 `json:"inflight_merges"`
+}
+
 // GraphStats snapshots the compiled-graph cache counters (zero value when
 // graphs are disabled).
 func (c *Context) GraphStats() GraphStats {
 	if c.graphs == nil {
 		return GraphStats{}
 	}
-	return c.graphs.stats()
+	cs := c.graphs.Stats()
+	return GraphStats{
+		Hits:           cs.Hits,
+		Misses:         cs.Misses,
+		Compiles:       c.compiles.Load(),
+		Replays:        c.replays.Load(),
+		Patches:        c.patches.Load(),
+		Invalidations:  c.invalidations.Load(),
+		Evictions:      cs.Evictions,
+		InflightMerges: cs.InflightMerges,
+	}
 }
 
 // GraphCount reports how many compiled graphs the cache retains.
@@ -28,7 +75,7 @@ func (c *Context) GraphCount() int {
 	if c.graphs == nil {
 		return 0
 	}
-	return c.graphs.len()
+	return c.graphs.Len()
 }
 
 // execPlan executes one whole-plan attempt, through the compiled-graph
@@ -48,7 +95,7 @@ func (c *Context) execPlan(pl *core.Plan, parent obs.SpanID) (*pipeline.Result, 
 	if err != nil {
 		return c.engine.ExecuteSpan(pl, parent)
 	}
-	c.graphs.replays.Add(1)
+	c.replays.Add(1)
 	return res, nil
 }
 
@@ -60,8 +107,8 @@ func (c *Context) execPlan(pl *core.Plan, parent obs.SpanID) (*pipeline.Result, 
 // path structure itself changed.
 func (c *Context) compiledFor(pl *core.Plan) (*pipeline.CompiledPlan, error) {
 	key := pl.Key()
-	cp, err := c.graphs.get(key, func() (*pipeline.CompiledPlan, error) {
-		c.graphs.compiles.Add(1)
+	cp, err := c.graphs.Get(key, func() (*pipeline.CompiledPlan, error) {
+		c.compiles.Add(1)
 		return c.engine.Compile(pl)
 	})
 	if err != nil {
@@ -74,15 +121,15 @@ func (c *Context) compiledFor(pl *core.Plan) (*pipeline.CompiledPlan, error) {
 		if err := cp.UpdateTo(pl); err != nil {
 			return nil, err
 		}
-		c.graphs.patches.Add(1)
+		c.patches.Add(1)
 		return cp, nil
 	}
 	nc, err := c.engine.Compile(pl)
 	if err != nil {
 		return nil, err
 	}
-	c.graphs.compiles.Add(1)
-	c.graphs.replace(key, nc)
+	c.compiles.Add(1)
+	c.graphs.Put(key, nc)
 	return nc, nil
 }
 
@@ -99,8 +146,8 @@ func (c *Context) execChunk(f *mpFeeder, pl *core.Plan, parent obs.SpanID) (*pip
 	if f.graph != nil && pipeline.Patchable(f.graph.Plan(), pl) {
 		if err := f.graph.UpdateTo(pl); err == nil {
 			if res, err := c.engine.ExecuteCompiledSpan(f.graph, parent); err == nil {
-				c.graphs.patches.Add(1)
-				c.graphs.replays.Add(1)
+				c.patches.Add(1)
+				c.replays.Add(1)
 				return res, nil
 			}
 		}
@@ -110,13 +157,13 @@ func (c *Context) execChunk(f *mpFeeder, pl *core.Plan, parent obs.SpanID) (*pip
 	if err != nil {
 		return c.engine.ExecuteSpan(pl, parent)
 	}
-	c.graphs.compiles.Add(1)
+	c.compiles.Add(1)
 	f.graph = cp
 	res, err := c.engine.ExecuteCompiledSpan(cp, parent)
 	if err != nil {
 		return c.engine.ExecuteSpan(pl, parent)
 	}
-	c.graphs.replays.Add(1)
+	c.replays.Add(1)
 	return res, nil
 }
 
@@ -136,9 +183,15 @@ func (c *Context) invalidateGraphsFor(excluded map[hw.Path]bool) {
 	if c.graphs == nil || len(excluded) == 0 {
 		return
 	}
-	c.graphs.invalidateMatching(func(cp *pipeline.CompiledPlan) bool {
+	c.dropGraphs(func(cp *pipeline.CompiledPlan) bool {
 		return planUsesAny(cp.Plan(), excluded)
 	})
+}
+
+// dropGraphs invalidates the cached graphs drop selects, releasing their
+// staging memory; replays already launched keep running.
+func (c *Context) dropGraphs(drop func(*pipeline.CompiledPlan) bool) {
+	c.invalidations.Add(int64(c.graphs.DropIf(drop)))
 }
 
 // planUsesAny reports whether any active path of the plan is in the set.

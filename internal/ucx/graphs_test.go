@@ -264,7 +264,7 @@ func TestGraphCacheSingleflightRace(t *testing.T) {
 	for i := range plans {
 		plans[i] = directCompiled(t, eng, float64((i+1))*hw.MiB)
 	}
-	cache := newGraphCache()
+	cache := core.NewCache(graphCacheCapacity, (*pipeline.CompiledPlan).Release)
 	var compiles [keys]atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -273,7 +273,7 @@ func TestGraphCacheSingleflightRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := i % keys
-				cp, err := cache.get(uint64(k), func() (*pipeline.CompiledPlan, error) {
+				cp, err := cache.Get(uint64(k), func() (*pipeline.CompiledPlan, error) {
 					compiles[k].Add(1)
 					return plans[k], nil
 				})
@@ -294,7 +294,7 @@ func TestGraphCacheSingleflightRace(t *testing.T) {
 			t.Errorf("key %d compiled %d times, want exactly 1", k, n)
 		}
 	}
-	st := cache.stats()
+	st := cache.Stats()
 	if st.Misses != keys {
 		t.Errorf("misses = %d, want %d", st.Misses, keys)
 	}
@@ -305,47 +305,132 @@ func TestGraphCacheSingleflightRace(t *testing.T) {
 
 func TestGraphCacheErrorNotCached(t *testing.T) {
 	eng := testEngine(t)
-	cache := newGraphCache()
+	cache := core.NewCache(graphCacheCapacity, (*pipeline.CompiledPlan).Release)
 	boom := fmt.Errorf("compile exploded")
-	if _, err := cache.get(42, func() (*pipeline.CompiledPlan, error) {
+	if _, err := cache.Get(42, func() (*pipeline.CompiledPlan, error) {
 		return nil, boom
 	}); err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if cache.len() != 0 {
+	if cache.Len() != 0 {
 		t.Fatal("failed compilation was cached")
 	}
 	want := directCompiled(t, eng, hw.MiB)
-	got, err := cache.get(42, func() (*pipeline.CompiledPlan, error) {
+	got, err := cache.Get(42, func() (*pipeline.CompiledPlan, error) {
 		return want, nil
 	})
 	if err != nil || got != want {
 		t.Fatalf("retry after failure: got %v, %v", got, err)
 	}
-	if st := cache.stats(); st.Misses != 2 {
+	if st := cache.Stats(); st.Misses != 2 {
 		t.Fatalf("misses = %d, want 2 (failure not cached)", st.Misses)
 	}
 }
 
+// stagedPlan is a plan from GPU 0 to GPU 1 over the direct path and a
+// path staged through GPU 2 that carries staged of the bytes in chunks
+// chunks. With staged = 0 the staged path is idle and the compiled graph
+// holds no staging memory, but the plan keeps its key (paths and bytes).
+func stagedPlan(bytes, staged float64, chunks int) *core.Plan {
+	direct := hw.Path{Kind: hw.Direct, Src: 0, Dst: 1}
+	via := hw.Path{Kind: hw.GPUStaged, Src: 0, Dst: 1, Via: 2}
+	leg := core.LinkParam{Alpha: 0, Beta: 100}
+	return &core.Plan{Src: 0, Dst: 1, Bytes: bytes, Paths: []core.PathPlan{
+		{Path: direct, Param: core.PathParam{Path: direct, Legs: []core.LinkParam{leg}}, Bytes: bytes - staged, Chunks: 1},
+		{Path: via, Param: core.PathParam{Path: via, Legs: []core.LinkParam{leg, leg}}, Bytes: staged, Chunks: chunks},
+	}}
+}
+
+// mustCompile resolves pl through the context's graph cache.
+func mustCompile(t *testing.T, ctx *Context, pl *core.Plan) *pipeline.CompiledPlan {
+	t.Helper()
+	cp, err := ctx.compiledFor(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 func TestGraphCacheClockEviction(t *testing.T) {
-	// Overfill a single shard (capacity 16): the CLOCK hand must evict to
-	// stay within bound, and evicted plans must be released (safe because
-	// direct plans hold no staging memory).
-	eng := testEngine(t)
-	cache := newGraphCache()
-	perShard := graphCacheCapacity / graphShardCount
-	total := perShard + 4
-	for i := 0; i < total; i++ {
-		cp := directCompiled(t, eng, float64(i+1)*hw.MiB)
-		key := uint64(i)<<4 | 3 // all keys land in shard 3
-		if _, err := cache.get(key, func() (*pipeline.CompiledPlan, error) { return cp, nil }); err != nil {
+	// Fill one shard of the context's graph cache (16 graphs) with
+	// GPU-staged graphs, then push as many direct ones through it: the
+	// CLOCK hand must evict every staged graph, and each must give its
+	// staging ring back to GPU 2.
+	_, ctx := newCtx(t, graphsConfig())
+	dev := ctx.rt.Device(2)
+	free := dev.FreeMemory()
+	const perShard = graphCacheCapacity / 16 // core.Cache has 16 shards
+	fill := func(i int, pl *core.Plan) {
+		t.Helper()
+		key := uint64(i)<<4 | 3 // every key lands in shard 3
+		if _, err := ctx.graphs.Get(key, func() (*pipeline.CompiledPlan, error) {
+			return ctx.engine.Compile(pl)
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := cache.len(); n != perShard {
-		t.Fatalf("cache retains %d entries, want %d", n, perShard)
+	for i := 0; i < perShard; i++ {
+		fill(i, stagedPlan(float64(i+1)*hw.MiB, hw.MiB/2, 4))
 	}
-	if st := cache.stats(); st.Evictions != int64(total-perShard) {
-		t.Fatalf("evictions = %d, want %d", st.Evictions, total-perShard)
+	if dev.FreeMemory() >= free {
+		t.Fatal("staged graphs hold no staging memory on GPU 2")
+	}
+	for i := perShard; i < 2*perShard; i++ {
+		fill(i, stagedPlan(float64(i+1)*hw.MiB, 0, 1))
+	}
+	if n := ctx.GraphCount(); n != perShard {
+		t.Fatalf("cache retains %d graphs, want %d", n, perShard)
+	}
+	if st := ctx.GraphStats(); st.Evictions != perShard {
+		t.Fatalf("evictions = %d, want %d", st.Evictions, perShard)
+	}
+	if got := dev.FreeMemory(); got != free {
+		t.Fatalf("GPU 2 has %v bytes free after evicting every staged graph, want %v", got, free)
+	}
+}
+
+func TestGraphCacheRecompileReleasesStaging(t *testing.T) {
+	// A re-plan that changes the structure under the same key (the staged
+	// path went idle) is recompiled and Put over the cached graph; the
+	// displaced graph must give its staging ring back.
+	_, ctx := newCtx(t, graphsConfig())
+	dev := ctx.rt.Device(2)
+	free := dev.FreeMemory()
+	staged := stagedPlan(64*hw.MiB, 16*hw.MiB, 4)
+	mustCompile(t, ctx, staged)
+	if dev.FreeMemory() >= free {
+		t.Fatal("staged graph holds no staging memory on GPU 2")
+	}
+	direct := stagedPlan(64*hw.MiB, 0, 1)
+	if direct.Key() != staged.Key() {
+		t.Fatal("the two plans must share a cache key")
+	}
+	if cp := mustCompile(t, ctx, direct); cp.Plan() != direct {
+		t.Fatal("structural change was not recompiled")
+	}
+	if got := dev.FreeMemory(); got != free {
+		t.Fatalf("GPU 2 has %v bytes free after the recompile, want %v", got, free)
+	}
+	if st := ctx.GraphStats(); st.Compiles != 2 || ctx.GraphCount() != 1 {
+		t.Fatalf("stats %+v with %d graphs cached, want 2 compiles and 1 graph", st, ctx.GraphCount())
+	}
+}
+
+func TestGraphCacheFailoverReleasesStaging(t *testing.T) {
+	// A failover exclusion of the staged path drops the graph routed over
+	// it, which must give its staging ring back; a graph that leaves the
+	// path idle stays cached.
+	_, ctx := newCtx(t, graphsConfig())
+	dev := ctx.rt.Device(2)
+	free := dev.FreeMemory()
+	staged := stagedPlan(64*hw.MiB, 16*hw.MiB, 4)
+	mustCompile(t, ctx, staged)
+	mustCompile(t, ctx, stagedPlan(32*hw.MiB, 0, 1))
+	ctx.invalidateGraphsFor(map[hw.Path]bool{staged.Paths[1].Path: true})
+	if got := dev.FreeMemory(); got != free {
+		t.Fatalf("GPU 2 has %v bytes free after the exclusion, want %v", got, free)
+	}
+	if st := ctx.GraphStats(); st.Invalidations != 1 || ctx.GraphCount() != 1 {
+		t.Fatalf("stats %+v with %d graphs cached, want 1 invalidation and 1 graph", st, ctx.GraphCount())
 	}
 }

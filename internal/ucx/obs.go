@@ -146,9 +146,9 @@ func (c *Context) StatsSnapshot() StatsSnapshot {
 		CachedPlans: c.model.CachedPlans(),
 	}
 	if c.graphs != nil {
-		gs := c.graphs.stats()
+		gs := c.GraphStats()
 		s.GraphCache = &gs
-		s.CachedGraphs = c.graphs.len()
+		s.CachedGraphs = c.graphs.Len()
 	}
 	if c.observer != nil {
 		os := c.observer.Stats()

@@ -19,7 +19,6 @@ package ucx
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -163,7 +162,8 @@ func DefaultConfig() Config {
 //	UCX_MP_RECALIBRATE   y|n
 //	UCX_MP_TRACE         y|n
 //
-// Byte thresholds must be finite and non-negative.
+// Byte thresholds are base-10 unsigned integers: no sign, fraction,
+// exponent or hex form.
 func ParseConfig(env map[string]string) (Config, error) {
 	cfg := DefaultConfig()
 	// Walk variables in sorted order so that with several invalid entries
@@ -287,12 +287,12 @@ func newPlannerModel(cfg Config, source core.ParamSource) *core.Model {
 	return core.NewModel(source, mo)
 }
 
-// parseBytes reads a byte threshold, which must be finite and
-// non-negative: NaN would make every size comparison false, so that even
-// a 1-byte Put would take rendezvous.
+// parseBytes reads a byte threshold as a base-10 unsigned integer, so it
+// is whole and finite (NaN, for one, would make every size comparison
+// false, so that even a 1-byte Put would take rendezvous).
 func parseBytes(v string) (float64, bool) {
-	f, err := strconv.ParseFloat(v, 64)
-	return f, err == nil && f >= 0 && !math.IsInf(f, 1)
+	n, err := strconv.ParseUint(v, 10, 64)
+	return float64(n), err == nil
 }
 
 func parseBool(v string) (bool, error) {
@@ -345,8 +345,14 @@ type Context struct {
 	observer *core.Observer
 
 	// graphs is the compiled-graph cache (nil unless Config.GraphsEnable
-	// is set). Keyed like the plan cache; see graphcache.go.
-	graphs *graphCache
+	// is set), keyed like the plan cache; see graphs.go. The four counters
+	// after it are the executor's, which GraphStats reports together with
+	// the cache's own.
+	graphs        *core.Cache[*pipeline.CompiledPlan]
+	compiles      atomic.Int64
+	replays       atomic.Int64
+	patches       atomic.Int64
+	invalidations atomic.Int64
 
 	// tracer/metrics are the observability layer (nil unless Config.Trace
 	// is set); met caches the registry's hot metric pointers. See obs.go.
@@ -402,9 +408,9 @@ func NewContext(rt *cuda.Runtime, cfg Config) (*Context, error) {
 	if cfg.Planner != nil {
 		planner = cfg.Planner
 	}
-	var graphs *graphCache
+	var graphs *core.Cache[*pipeline.CompiledPlan]
 	if cfg.GraphsEnable {
-		graphs = newGraphCache()
+		graphs = core.NewCache(graphCacheCapacity, (*pipeline.CompiledPlan).Release)
 	}
 	c := &Context{
 		cfg:           cfg,
@@ -471,7 +477,7 @@ func (c *Context) NotifyFault() {
 	if c.graphs != nil {
 		// Every compiled graph baked its byte split against the old link
 		// state; drop them all so warm transfers recompile against the new.
-		c.graphs.invalidateAll()
+		c.dropGraphs(func(*pipeline.CompiledPlan) bool { return true })
 	}
 	c.runsMu.Lock()
 	runs := append([]*mpRun(nil), c.runs...)

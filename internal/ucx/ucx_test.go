@@ -2,6 +2,8 @@ package ucx
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cuda"
@@ -42,31 +44,54 @@ func TestParseConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestParseConfigOverrides sets each documented key, one at a time, to a
+// value other than its default, and checks the parsed Config against
+// DefaultConfig with exactly the field the key documents changed.
 func TestParseConfigOverrides(t *testing.T) {
-	cfg, err := ParseConfig(map[string]string{
-		"UCX_MP_ENABLE":     "n",
-		"UCX_MP_PATHS":      "3gpus",
-		"UCX_RNDV_THRESH":   "131072",
-		"UCX_MP_MAX_CHUNKS": "16",
-		"UCX_MP_PIPELINING": "no",
-	})
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		key, value string
+		set        func(*Config)
+	}{
+		{"UCX_MP_ENABLE", "n", func(c *Config) { c.MultipathEnable = false }},
+		{"UCX_MP_PATHS", "3gpus", func(c *Config) { c.PathSet = "3gpus" }},
+		{"UCX_RNDV_THRESH", "131072", func(c *Config) { c.RndvThreshold = 131072 }},
+		{"UCX_MP_MAX_CHUNKS", "16", func(c *Config) { c.ModelOptions.MaxChunks = 16 }},
+		{"UCX_MP_PIPELINING", "no", func(c *Config) { c.ModelOptions.Pipelined = false }},
+		{"UCX_MP_BIDIR_AWARE", "y", func(c *Config) { c.BidirAware = true }},
+		{"UCX_MP_ADAPTIVE_PHI", "yes", func(c *Config) { c.ModelOptions.AdaptivePhi = true }},
+		{"UCX_MP_LOAD_AWARE", "1", func(c *Config) { c.LoadAware = true }},
+		{"UCX_MP_FAILOVER", "n", func(c *Config) { c.FailoverEnable = false }},
+		{"UCX_MP_MAX_RETRIES", "5", func(c *Config) { c.FailoverMaxRetries = 5 }},
+		{"UCX_MP_ADAPT_SEGMENTS", "8", func(c *Config) { c.AdaptSegments = 8 }},
+		{"UCX_MP_ADAPT_MIN_BYTES", "4194304", func(c *Config) { c.AdaptMinBytes = 4194304 }},
+		{"UCX_MP_GRAPHS", "on", func(c *Config) { c.GraphsEnable = true }},
+		{"UCX_MP_RECALIBRATE", "y", func(c *Config) { c.Recalibrate = true }},
+		{"UCX_MP_TRACE", "true", func(c *Config) { c.Trace = true }},
 	}
-	if cfg.MultipathEnable {
-		t.Error("MP enable not parsed")
+	documented := map[string]bool{}
+	for _, kv := range documentedEnv {
+		k, _, _ := strings.Cut(kv, "=")
+		documented[k] = true
 	}
-	if cfg.PathSet != "3gpus" {
-		t.Error("path set not parsed")
+	for _, r := range rows {
+		delete(documented, r.key)
+		want := DefaultConfig()
+		r.set(&want)
+		if reflect.DeepEqual(want, DefaultConfig()) {
+			t.Errorf("%s=%s is the default, so the row shows nothing", r.key, r.value)
+			continue
+		}
+		got, err := ParseConfig(map[string]string{r.key: r.value})
+		if err != nil {
+			t.Errorf("%s=%s: %v", r.key, r.value, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s=%s:\n got %+v\nwant %+v", r.key, r.value, got, want)
+		}
 	}
-	if cfg.RndvThreshold != 131072 {
-		t.Error("threshold not parsed")
-	}
-	if cfg.ModelOptions.MaxChunks != 16 {
-		t.Error("max chunks not parsed")
-	}
-	if cfg.ModelOptions.Pipelined {
-		t.Error("pipelining not parsed")
+	for k := range documented {
+		t.Errorf("documented key %s has no row", k)
 	}
 }
 
@@ -302,17 +327,6 @@ func TestPutCountsTracked(t *testing.T) {
 }
 
 func TestParseConfigExtensionKnobs(t *testing.T) {
-	cfg, err := ParseConfig(map[string]string{
-		"UCX_MP_BIDIR_AWARE":  "y",
-		"UCX_MP_ADAPTIVE_PHI": "yes",
-		"UCX_MP_LOAD_AWARE":   "1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.BidirAware || !cfg.ModelOptions.AdaptivePhi || !cfg.LoadAware {
-		t.Fatalf("extension knobs not parsed: %+v", cfg)
-	}
 	for _, k := range []string{"UCX_MP_BIDIR_AWARE", "UCX_MP_ADAPTIVE_PHI", "UCX_MP_LOAD_AWARE"} {
 		if _, err := ParseConfig(map[string]string{k: "maybe"}); err == nil {
 			t.Errorf("%s=maybe accepted", k)

@@ -37,11 +37,13 @@ echo "==> (cd mpperf && go test ./...)"
 
 # The planner is the concurrency-critical surface: rerun its stress gates
 # with more iterations than the default suite so interleavings that only
-# show up under repetition get a chance to fire.
+# show up under repetition get a chance to fire. The core.Cache tests
+# cover the one cache behind plans and compiled graphs; exp's planner
+# cache shares one static tuning between concurrent panels.
 echo "==> go test -race -count=3 (plan-cache + shared-planner stress)"
 go test -race -count=3 \
-	-run 'TestPlanCacheConcurrentStress|TestPlanCacheSingleflight|TestContextConcurrentPlanning|TestStaticPlannerConcurrentReplay|TestGraphCacheSingleflightRace' \
-	./internal/core/ ./internal/ucx/ ./internal/tuner/
+	-run 'TestPlanCacheConcurrentStress|TestPlanCacheSingleflight|TestCache|TestContextConcurrentPlanning|TestStaticPlannerConcurrentReplay|TestGraphCacheSingleflightRace|TestPlannerCacheSingleFlight' \
+	./internal/core/ ./internal/ucx/ ./internal/tuner/ ./internal/exp/
 
 # The fault-adaptive runtime (failover, chunk-pool feeders, fault
 # injection) mixes simulator callbacks with concurrent planners; rerun its
@@ -87,7 +89,8 @@ echo "==> go test -fuzz (topology JSON, 10 s)"
 go test -run '^$' -fuzz '^FuzzSpecFromJSON$' -fuzztime 10s ./internal/hw
 
 # Environment configuration is the third outside input: whatever
-# ParseConfig accepts must give finite thresholds and a usable Context.
+# ParseConfig accepts must give whole, finite thresholds and a usable
+# Context.
 echo "==> go test -fuzz (ucx env config, 10 s)"
 go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/ucx
 
