@@ -2,10 +2,42 @@ package exp
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestObsTraceGolden compares the fault-rich adaptive run's Perfetto export
+// (what mpbench -exp fig4 -quick -trace writes) byte for byte against the
+// checked-in trace. Regenerate with:
+// go test ./internal/exp -run TestObsTraceGolden -update
+func TestObsTraceGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := ObsTrace("beluga", &buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "obstrace_beluga.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("trace drifted from %s (%d bytes, want %d)", golden, buf.Len(), len(want))
+	}
+}
 
 // TestObsTraceValidAndByteIdentical is the end-to-end observability gate:
 // a fault-rich adaptive run's exported trace must pass the Perfetto schema
