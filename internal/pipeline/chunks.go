@@ -8,29 +8,18 @@ package pipeline
 // overshoots, the last chunk is clamped at zero and the overshoot is
 // taken back from the previous chunk.
 //
-// Both the eager engine and the ucx adaptive executor split through this
-// one helper, so a transfer's chunk decomposition is identical whether it
-// is interpreted, compiled into a graph, or patched into an existing
-// graph.
+// The engine's one schedule writer splits every staged path through it,
+// and UpdateTo re-splits patched shares through it, so a path's chunk
+// decomposition is identical whether it runs eagerly, is compiled into a
+// graph, or is patched into an existing graph.
 func SplitChunks(bytes float64, k int) []float64 {
 	if k < 1 {
 		k = 1
 	}
-	out := make([]float64, k)
-	SplitChunksInto(out, bytes)
-	return out
-}
-
-// SplitChunksInto is SplitChunks writing into a caller-provided slice
-// (len(out) = k), for hot paths that reuse scratch.
-func SplitChunksInto(out []float64, bytes float64) {
-	k := len(out)
-	if k == 0 {
-		return
-	}
 	if bytes < 0 {
 		bytes = 0
 	}
+	out := make([]float64, k)
 	base := bytes / float64(k)
 	var used float64
 	for i := 0; i < k-1; i++ {
@@ -47,4 +36,5 @@ func SplitChunksInto(out []float64, bytes float64) {
 		last = 0
 	}
 	out[k-1] = last
+	return out
 }

@@ -65,50 +65,3 @@ func TestSplitChunksDegenerateK(t *testing.T) {
 		}
 	}
 }
-
-func TestSplitChunksIntoReusesBuffer(t *testing.T) {
-	buf := make([]float64, 5)
-	SplitChunksInto(buf, 1000)
-	var sum float64
-	for _, s := range buf {
-		sum += s
-	}
-	if sum != 1000 {
-		t.Fatalf("sum = %v, want 1000", sum)
-	}
-	// Refill with a different total: stale contents must not leak through.
-	SplitChunksInto(buf, 7)
-	sum = 0
-	for _, s := range buf {
-		if s < 0 {
-			t.Fatalf("negative chunk %v", s)
-		}
-		sum += s
-	}
-	if sum != 7 {
-		t.Fatalf("refill sum = %v, want 7", sum)
-	}
-	// Empty destination is a no-op, not a panic.
-	SplitChunksInto(nil, 42)
-}
-
-// TestSplitChunksMatchesEngineSplit pins the dedupe: the eager engine's
-// chunkSizes is the same function, so interpreted, compiled, and patched
-// executions see identical chunk decompositions.
-func TestSplitChunksMatchesEngineSplit(t *testing.T) {
-	for _, tc := range []struct {
-		bytes float64
-		k     int
-	}{{1 << 20, 4}, {12345, 5}, {100, 3}} {
-		a := SplitChunks(tc.bytes, tc.k)
-		b := chunkSizes(tc.bytes, tc.k)
-		if len(a) != len(b) {
-			t.Fatalf("length mismatch: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("chunk %d: %v vs %v", i, a[i], b[i])
-			}
-		}
-	}
-}

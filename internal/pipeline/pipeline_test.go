@@ -209,26 +209,6 @@ func TestExecuteRejectsEmptyPlans(t *testing.T) {
 	}
 }
 
-func TestChunkSizesPartition(t *testing.T) {
-	for _, tc := range []struct {
-		bytes float64
-		k     int
-	}{{100, 1}, {100, 3}, {1 << 20, 7}, {12345, 5}} {
-		sizes := chunkSizes(tc.bytes, tc.k)
-		if len(sizes) != tc.k {
-			t.Fatalf("k=%d: got %d chunks", tc.k, len(sizes))
-		}
-		var sum float64
-		for _, s := range sizes {
-			if s < 0 {
-				t.Fatalf("negative chunk size %v", s)
-			}
-			sum += s
-		}
-		almost(t, sum, tc.bytes, 1e-9, "chunks partition the share")
-	}
-}
-
 // Integration: the model's prediction should match the simulated transfer
 // closely on a real preset for large messages (the paper's <6% regime).
 func TestModelPredictionMatchesSimulation(t *testing.T) {
