@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // benchPlan is a typical multi-path shape: a direct path plus a GPU-staged
@@ -43,7 +44,7 @@ func BenchmarkGraphReplay(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := e.ExecuteCompiled(cp)
+		res, err := e.ExecuteCompiledSpan(cp, obs.NoSpan)
 		if err != nil {
 			b.Fatal(err)
 		}
