@@ -1,11 +1,11 @@
 package ucx
 
-// Compiled-graph execution: when Config.GraphsEnable is set, whole-plan
-// transfers run through the graph cache (hash → replay on the warm path)
-// and adaptive chunk-pool feeders keep a private compiled graph that is
-// patched in place when only byte counts changed. With graphs disabled
-// every transfer takes the eager engine path, byte-identical to the
-// paper-figure behaviour.
+// Compiled-graph execution: when Config.GraphsEnable is set, every
+// attempt runs as a graph replay — whole-residual attempts through the
+// graph cache (hash → replay on the warm path), pool chunks through their
+// feeder's private graph — patched in place when only byte counts changed.
+// With graphs disabled every attempt takes the eager engine path,
+// byte-identical to the paper-figure behaviour.
 //
 // The graph cache is a core.Cache, the cache the planner keeps its plans
 // in, one level down and keyed identically (core.Plan.Key). At steady
@@ -78,93 +78,72 @@ func (c *Context) GraphCount() int {
 	return c.graphs.Len()
 }
 
-// execPlan executes one whole-plan attempt, through the compiled-graph
-// cache when enabled. Graph failures fall back to eager execution — the
-// graph path is an optimization, never a correctness dependency. The
+// execPlan executes one attempt's plan on the eager engine or, with
+// graphs enabled, as a replay of a compiled graph: the graph in *slot — a
+// feeder's private graph, since pool chunk sizes vary chunk to chunk and
+// cache keys would never repeat — or, when slot is nil, the shared cache's
+// graph for the plan's key. Graph failures fall back to eager execution —
+// the graph path is an optimization, never a correctness dependency. The
 // parent span (NoSpan when tracing is off) becomes the parent of the
 // per-path and replay spans the engine emits.
-func (c *Context) execPlan(pl *core.Plan, parent obs.SpanID) (*pipeline.Result, error) {
-	if c.graphs == nil {
-		return c.engine.ExecuteSpan(pl, parent)
+func (c *Context) execPlan(pl *core.Plan, slot **pipeline.CompiledPlan, parent obs.SpanID) (*pipeline.Result, error) {
+	if c.graphs != nil {
+		if cp, err := c.graphFor(pl, slot); err == nil {
+			if res, err := c.engine.ExecuteCompiledSpan(cp, parent); err == nil {
+				c.replays.Add(1)
+				return res, nil
+			}
+		}
 	}
-	cp, err := c.compiledFor(pl)
-	if err != nil {
-		return c.engine.ExecuteSpan(pl, parent)
-	}
-	res, err := c.engine.ExecuteCompiledSpan(cp, parent)
-	if err != nil {
-		return c.engine.ExecuteSpan(pl, parent)
-	}
-	c.replays.Add(1)
-	return res, nil
+	return c.engine.ExecuteSpan(pl, parent)
 }
 
-// compiledFor resolves a plan to an instantiated graph: cache hit on the
-// plan's key, singleflight compile on a miss. A hit whose cached graph was
-// compiled from a different plan object (the planner re-planned after an
-// invalidation) is patched in place when structurally compatible —
-// GraphExecUpdate, not re-instantiation — and recompiled only when the
-// path structure itself changed.
-func (c *Context) compiledFor(pl *core.Plan) (*pipeline.CompiledPlan, error) {
-	key := pl.Key()
-	cp, err := c.graphs.Get(key, func() (*pipeline.CompiledPlan, error) {
-		c.compiles.Add(1)
-		return c.engine.Compile(pl)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cp.Plan() == pl {
-		return cp, nil
-	}
-	if pipeline.Patchable(cp.Plan(), pl) {
-		if err := cp.UpdateTo(pl); err != nil {
+// graphFor resolves a plan to an instantiated graph, from the slot or the
+// cache (a singleflight compile on a cache miss). A graph compiled from a
+// different plan object — the planner re-planned, or the next pool chunk
+// arrived — is patched in place when structurally compatible
+// (GraphExecUpdate, not re-instantiation) and recompiled when the path or
+// chunk structure changed or the patch failed; the recompiled graph
+// replaces the one in the slot or cache, which releases it.
+func (c *Context) graphFor(pl *core.Plan, slot **pipeline.CompiledPlan) (*pipeline.CompiledPlan, error) {
+	var key uint64
+	var cp *pipeline.CompiledPlan
+	if slot != nil {
+		cp = *slot
+	} else {
+		key = pl.Key()
+		var err error
+		cp, err = c.graphs.Get(key, func() (*pipeline.CompiledPlan, error) {
+			c.compiles.Add(1)
+			return c.engine.Compile(pl)
+		})
+		if err != nil {
 			return nil, err
 		}
-		c.patches.Add(1)
-		return cp, nil
+	}
+	if cp != nil {
+		if cp.Plan() == pl {
+			return cp, nil
+		}
+		if pipeline.Patchable(cp.Plan(), pl) && cp.UpdateTo(pl) == nil {
+			c.patches.Add(1)
+			return cp, nil
+		}
 	}
 	nc, err := c.engine.Compile(pl)
 	if err != nil {
 		return nil, err
 	}
 	c.compiles.Add(1)
-	c.graphs.Put(key, nc)
+	if slot == nil {
+		c.graphs.Put(key, nc)
+		return nc, nil
+	}
+	if cp != nil {
+		cp.Release()
+	}
+	*slot = nc
 	return nc, nil
-}
-
-// execChunk executes one adaptive-executor chunk. Feeders keep a private
-// compiled graph rather than going through the shared cache (pool chunk
-// sizes vary chunk to chunk, so cache keys would never repeat): when the
-// new chunk is structurally compatible — same path, same inner chunk
-// count, only sizes or rates changed — the graph is patched and replayed;
-// otherwise it is recompiled.
-func (c *Context) execChunk(f *mpFeeder, pl *core.Plan, parent obs.SpanID) (*pipeline.Result, error) {
-	if c.graphs == nil {
-		return c.engine.ExecuteSpan(pl, parent)
-	}
-	if f.graph != nil && pipeline.Patchable(f.graph.Plan(), pl) {
-		if err := f.graph.UpdateTo(pl); err == nil {
-			if res, err := c.engine.ExecuteCompiledSpan(f.graph, parent); err == nil {
-				c.patches.Add(1)
-				c.replays.Add(1)
-				return res, nil
-			}
-		}
-	}
-	f.releaseGraph()
-	cp, err := c.engine.Compile(pl)
-	if err != nil {
-		return c.engine.ExecuteSpan(pl, parent)
-	}
-	c.compiles.Add(1)
-	f.graph = cp
-	res, err := c.engine.ExecuteCompiledSpan(cp, parent)
-	if err != nil {
-		return c.engine.ExecuteSpan(pl, parent)
-	}
-	c.replays.Add(1)
-	return res, nil
 }
 
 // releaseGraph drops a feeder's private compiled graph, freeing its

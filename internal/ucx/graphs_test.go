@@ -344,7 +344,7 @@ func stagedPlan(bytes, staged float64, chunks int) *core.Plan {
 // mustCompile resolves pl through the context's graph cache.
 func mustCompile(t *testing.T, ctx *Context, pl *core.Plan) *pipeline.CompiledPlan {
 	t.Helper()
-	cp, err := ctx.compiledFor(pl)
+	cp, err := ctx.graphFor(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

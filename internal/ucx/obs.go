@@ -77,12 +77,12 @@ func (c *Context) Metrics() *obs.Registry { return c.metrics }
 func xferTrack(src, dst int) string { return fmt.Sprintf("xfer:%d->%d", src, dst) }
 
 // beginTransferSpan opens the root span of one transfer's lifecycle on the
-// pair's track, records the start metrics, and arranges for the span and
-// the completion metrics to settle when the request's Done signal fires.
-// No-op (returning NoSpan) when tracing is off.
-func (c *Context) beginTransferSpan(req *Request, src, dst int, name string) obs.SpanID {
+// pair's track (req.span), records the start metrics, and arranges for the
+// span and the completion metrics to settle when the request's Done signal
+// fires. No-op when tracing is off.
+func (c *Context) beginTransferSpan(req *Request, src, dst int, name string) {
 	if c.tracer == nil {
-		return obs.NoSpan
+		return
 	}
 	sp := c.tracer.Begin(xferTrack(src, dst), "xfer", name, obs.NoSpan,
 		obs.KVf("bytes", req.Bytes))
@@ -108,7 +108,6 @@ func (c *Context) beginTransferSpan(req *Request, src, dst int, name string) obs
 			obs.KV("outcome", "ok"),
 			obs.KVi("retries", int64(req.Retries)), obs.KVi("failovers", int64(req.Failovers)))
 	})
-	return sp
 }
 
 // StatsSnapshot is the context's unified statistics export: the operation

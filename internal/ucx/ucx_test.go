@@ -171,8 +171,8 @@ func TestIpcHandleCacheAmortizes(t *testing.T) {
 	if second >= first {
 		t.Fatalf("cached transfer not faster: %v vs %v", second, first)
 	}
-	if math.Abs(first-second-ctx.Config().IpcOpenCost) > 1e-9 {
-		t.Fatalf("difference %v != IpcOpenCost", first-second)
+	if math.Abs(first-second-ipcOpenCost) > 1e-9 {
+		t.Fatalf("difference %v != ipcOpenCost", first-second)
 	}
 	if got := ctx.StatsSnapshot().IpcOpens; got != 1 {
 		t.Fatalf("ipc opens = %d, want 1", got)
@@ -205,9 +205,6 @@ func TestLargeMessageUsesMultipath(t *testing.T) {
 	}
 	if req.Plan == nil || len(req.Plan.ActivePaths()) < 2 {
 		t.Fatal("plan missing or single-path")
-	}
-	if ep.LastPlan() != req.Plan {
-		t.Fatal("endpoint did not record the plan")
 	}
 }
 
@@ -331,5 +328,38 @@ func TestParseConfigExtensionKnobs(t *testing.T) {
 		if _, err := ParseConfig(map[string]string{k: "maybe"}); err == nil {
 			t.Errorf("%s=maybe accepted", k)
 		}
+	}
+}
+
+// TestFailedStartSettlesTransfer issues two transfers whose first plan
+// fails — a Put hinted with a pair naming a GPU Beluga does not have, and
+// a StartTransfer of a denormal byte count — and requires, once the
+// simulator drains, every root span closed, nothing counted in flight, and
+// every started transfer counted completed or failed.
+func TestFailedStartSettlesTransfer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Trace = true
+	s, ctx := newCtx(t, cfg)
+	if _, err := endpoint(t, ctx, 0, 1).PutHinted(64*hw.MiB, [][2]int{{0, 7}}); err == nil {
+		t.Fatal("Put hinted with GPU 7 accepted")
+	}
+	if _, err := ctx.StartTransfer(0, 1, 1e-310, hw.AllPaths); err == nil {
+		t.Fatal("StartTransfer of 1e-310 bytes accepted")
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range ctx.Tracer().Spans() {
+		if sp.End < sp.Start {
+			t.Errorf("span %q on %s left open", sp.Name, sp.Track)
+		}
+	}
+	m := ctx.Metrics().Snapshot()
+	if g := m.Gauges["transfers.inflight"]; g != 0 {
+		t.Errorf("transfers.inflight = %v, want 0", g)
+	}
+	started, completed, failed := m.Counters["transfers.started"], m.Counters["transfers.completed"], m.Counters["transfers.failed"]
+	if started != 2 || started != completed+failed {
+		t.Errorf("started %d, completed %d, failed %d", started, completed, failed)
 	}
 }
