@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-wire bench verify
+.PHONY: build test race vet lint lint-wire bench verify loc
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,11 @@ lint-wire:
 # load-bearing, not optional).
 verify:
 	sh scripts/verify.sh
+
+# loc prints the non-test Go line count outside mpperf/ and testdata/ (and
+# outside hidden build directories), the size ROADMAP tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './mpperf/*' ! -path '*/testdata/*' ! -path './.*' | xargs cat | wc -l
 
 # bench runs the perf-trajectory benchmarks recorded in BENCH_fluid.json,
 # the allocation profile of one eager staged transfer and one graph replay

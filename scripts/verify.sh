@@ -47,10 +47,11 @@ go test -race -count=3 \
 
 # The fault-adaptive runtime (failover, chunk-pool feeders, fault
 # injection) mixes simulator callbacks with concurrent planners; rerun its
-# stress tests under the race detector the same way.
+# stress tests, and the executor golden that pins every execution mode
+# under faults, under the race detector the same way.
 echo "==> go test -race -count=3 (fault / failover stress)"
 go test -race -count=3 \
-	-run 'TestFailover|TestFault|TestAdaptiveSegments|TestTransferSurvives' \
+	-run 'TestFailover|TestFault|TestAdaptiveSegments|TestTransferSurvives|TestExecutorGolden' \
 	./internal/ucx/ ./internal/fluid/ ./internal/hw/ ./internal/exp/ .
 
 # The observability layer records metrics from concurrent planners; rerun
