@@ -50,16 +50,19 @@
 //	fp.Fail(2e-3, multipath.PCIeUpRef(2))            // kill a PCIe lane at t=2ms
 //	sys, err := multipath.NewSystem(multipath.Narval(), multipath.WithFaults(&fp))
 //
-// Transfers running over a failed link fail over: the runtime excludes the
-// dead path, re-plans against live capacities, and retries the residual
-// bytes (Config.FailoverEnable, on by default). Config.AdaptSegments
-// switches large transfers to a chunk-pool executor: per-path feeders pull
-// variable-size chunks from a shared byte pool at the planner's predicted
-// rates, so a mid-message degradation slows that path's pull rate and the
-// healthy paths absorb the slack; fault notifications re-plan the residual
-// pool against live capacities. Config.Recalibrate closes the loop by
-// correcting the model's β parameters when achieved times drift from
-// predictions.
+// Every rendezvous transfer runs on one executor as a run of attempts,
+// each one plan in flight. By default an attempt carries the whole
+// undelivered residual; when it runs over a failed link the runtime
+// excludes the dead path, re-plans against live capacities, and retries the
+// residual bytes (Config.FailoverEnable, on by default). With
+// Config.AdaptSegments each attempt is instead one chunk of a shared byte
+// pool: per-path feeders pull variable-size chunks at the planner's
+// predicted rates, so a mid-message degradation slows that path's pull rate
+// and the healthy paths absorb the slack; fault notifications re-plan the
+// residual pool against live capacities. Config.GraphsEnable replays each
+// attempt's plan from a compiled transfer graph instead of enqueuing it
+// eagerly. Config.Recalibrate closes the loop by correcting the model's β
+// parameters when achieved times drift from predictions.
 //
 // Deeper control is available through the re-exported subsystem types;
 // the experiment drivers that regenerate the paper's figures live in
