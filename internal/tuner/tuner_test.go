@@ -134,8 +134,13 @@ func TestExhaustiveSearchBeatsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluations < 4 {
-		t.Fatalf("too few evaluations: %d", res.Evaluations)
+	// Step 0.25 over two paths is a grid of five share vectors; every one
+	// is either measured or pruned, and at least one is measured.
+	if res.Measured+res.Pruned != 5 {
+		t.Fatalf("measured %d + pruned %d, want the 5-point grid", res.Measured, res.Pruned)
+	}
+	if res.Measured < 1 {
+		t.Fatalf("measured %d candidates", res.Measured)
 	}
 	direct := 48 * hw.GBps * 1.0
 	if res.Bandwidth < 1.5*direct {

@@ -60,10 +60,18 @@ type Config struct {
 	// and plan better naively).
 	PatternAwareMinBytes float64
 	// LoadAware makes the transport self-observing: every multi-path Put
-	// is planned around the transfers currently in flight, with no
-	// explicit hints. Subsumes BidirAware whenever the reverse transfer
-	// is already running, and adapts collectives without pattern
-	// knowledge. Gated by PatternAwareMinBytes like explicit hints.
+	// is planned around the transfers currently in flight on other GPU
+	// pairs, with no explicit hints, which adapts collectives without
+	// pattern knowledge. Each in-flight pair is charged the demand of its
+	// own naive plan (θ × predicted bandwidth per path, at 64 MiB) on the
+	// links it crosses, and a link keeps max(C − demand, C/(1+legs)), so
+	// a plan moves only when that demand takes a link below its path's
+	// bottleneck. It does not subsume BidirAware: on Beluga a reverse
+	// 64 MiB Put charges the shared memory channel with its small host
+	// share only, the host path stays PCIe-bound, and the Put plans and
+	// runs as with LoadAware off. BIBW workloads want BidirAware, which
+	// charges the mirror paths at full link speed. Gated by
+	// PatternAwareMinBytes like explicit hints.
 	LoadAware bool
 	// FailoverEnable lets a rendezvous transfer survive path-local faults:
 	// when a path fails mid-transfer with a retryable error (a link going
