@@ -33,7 +33,7 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write figure data as CSV to this file")
 		iters    = flag.Int("iters", 3, "measured iterations per point")
 		parallel = flag.Bool("parallel", false,
-			"fan independent grid points (panels, search points) across one worker per CPU; output is byte-identical to a sequential run")
+			"fan independent grid points (panels, static tuning sizes) across one worker per CPU; output is byte-identical to a sequential run")
 		workers = flag.Int("workers", 0,
 			"explicit worker count for -parallel (0 = one per CPU)")
 		tracePath = flag.String("trace", "",

@@ -2,13 +2,13 @@
 // simulation grid points out across CPUs.
 //
 // Every unit of work in this repository's evaluation — one (cluster,
-// path-set, window) panel, one exhaustive-search grid point, one static
-// tuning size — builds its own sim.Simulator and shares nothing with its
-// siblings, so the only requirements on the pool are a concurrency bound
-// and deterministic result handling. ForEach supplies both: callers index
-// results into pre-sized slices by work-item index, and errors are reported
-// by the lowest failing index regardless of scheduling order, so a parallel
-// run is observationally identical to a sequential one.
+// path-set, window) panel, one static tuning size — builds its own
+// sim.Simulator and shares nothing with its siblings, so the only
+// requirements on the pool are a concurrency bound and deterministic
+// result handling. ForEach supplies both: callers index results into
+// pre-sized slices by work-item index, and errors are reported by the
+// lowest failing index regardless of scheduling order, so a parallel run
+// is observationally identical to a sequential one.
 package par
 
 import (

@@ -27,9 +27,8 @@ type StaticPlanner struct {
 // reference pair (0,1) — valid because the preset topologies are symmetric
 // across GPU pairs — and returns the replaying planner. With opts.Workers
 // > 1 the per-size searches fan out over a worker pool (each search is an
-// independent chain of private simulators); the inner search grid then
-// runs sequentially inside each worker so total concurrency stays bounded
-// by Workers rather than Workers².
+// independent chain of private simulators, measured one grid point at a
+// time).
 func NewStaticPlanner(spec *hw.Spec, sel hw.PathSet, sizes []float64, opts SearchOptions) (*StaticPlanner, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("tuner: no tuning sizes")
@@ -43,13 +42,9 @@ func NewStaticPlanner(spec *hw.Spec, sel hw.PathSet, sizes []float64, opts Searc
 		node: node,
 		byN:  make(map[float64]*Result, len(sizes)),
 	}
-	inner := opts
-	if opts.Workers > 1 && len(sizes) > 1 {
-		inner.Workers = 1
-	}
 	results := make([]*Result, len(sizes))
 	err = par.ForEach(len(sizes), opts.Workers, func(i int) error {
-		res, err := ExhaustiveSearch(spec, 0, 1, sel, sizes[i], inner)
+		res, err := ExhaustiveSearch(spec, 0, 1, sel, sizes[i], opts)
 		if err != nil {
 			return fmt.Errorf("tuner: static search at n=%.0f: %w", sizes[i], err)
 		}
